@@ -51,17 +51,13 @@ class CoreStats:
     mispredicts: int = 0
     speculative_issues: int = 0
     # Fast-path introspection (telemetry): which arithmetic fast paths
-    # engaged, how many instructions they retired without touching
-    # μarch state, and how often certification fell back to the
-    # per-instruction interpreter.  Plain int adds once per *window*
-    # (never per instruction), pulled into gauges at snapshot time.
+    # engaged and how many instructions they retired without touching
+    # μarch state.  Plain int adds once per *window* (never per
+    # instruction), pulled into gauges at snapshot time.
     ff_steady_windows: int = 0
     ff_warmup_windows: int = 0
-    ff_periodic_windows: int = 0
-    ff_loop_windows: int = 0
     ff_uniform_bulk_retires: int = 0
     ff_insts_fast_forwarded: int = 0
-    ff_periodic_fallbacks: int = 0
     spec_early_outs: int = 0
 
     def architectural(self):
@@ -100,8 +96,8 @@ class Core:
         self._last_fetch_page: Optional[int] = None
         self._pipeline_cold = True
         self._warmup_remaining = latency.frontend_warmup_insts
-        #: Master switch for every arithmetic fast path (steady, loop,
-        #: periodic, uniform bulk retire).  Differential tests disable
+        #: Master switch for every arithmetic fast path (steady,
+        #: warm-up, uniform bulk retire).  Differential tests disable
         #: it to run the pure per-instruction interpreter as the
         #: bit-identity reference.
         self.fast_forward = True
@@ -242,26 +238,6 @@ class Core:
                     self.stats.ff_insts_fast_forwarded += count
                     retired += count
                     continue
-                periodic = self._try_periodic_fast_forward(
-                    asid, program, t, deadline
-                )
-                if periodic:
-                    count, t = periodic
-                    retired += count  # retirement applied internally
-                    continue
-                bulk_loops = self._try_loop_fast_forward(asid, program, t, deadline)
-                if bulk_loops:
-                    loops, elapsed = bulk_loops
-                    profile = program.loop_profile(program.retired)
-                    assert profile is not None
-                    count = loops * profile.insts_per_loop
-                    program.retired += count
-                    self.stats.instructions_retired += count
-                    self.stats.ff_loop_windows += 1
-                    self.stats.ff_insts_fast_forwarded += count
-                    retired += count
-                    t += elapsed
-                    continue
             inst = program.current()
             if inst is None:
                 return retired, t  # program finished before the interrupt
@@ -294,14 +270,13 @@ class Core:
     ):
         """Whole-window fast-forward for uniform steady-state streams.
 
-        Unlike :meth:`_try_loop_fast_forward` this engages from *any*
-        slot: when the program certifies a slot-independent uniform
-        stream (every instruction one base cycle) and the loop's full
-        footprint is resident, the window is retired by an **arithmetic
-        twin** of the per-instruction loop — the same sequence of
-        chunk-head additions, uniform-line bulk multiplies and
-        whole-loop multiplies the slow path performs, minus the
-        microarchitectural work.  Replicating the float accumulation
+        Engages from *any* slot: when the program certifies a
+        slot-independent uniform stream (every instruction one base
+        cycle) and the loop's full footprint is resident, the window is
+        retired by an **arithmetic twin** of the per-instruction loop —
+        the same sequence of chunk-head additions, uniform-line bulk
+        multiplies and whole-loop multiplies the slow path performs,
+        minus the microarchitectural work.  Replicating the float accumulation
         exactly keeps end times bit-identical to per-instruction
         execution: vruntime-sensitive schedulers (EEVDF eligibility)
         amplify even ULP-level timing drift into different preemption
@@ -446,142 +421,6 @@ class Core:
             return False
         self._ff_cert = (key, l1i.version, itlb.version)
         return True
-
-    def _try_periodic_fast_forward(
-        self, asid: int, program: Program, t: float, deadline: float
-    ):
-        """Measured fixed-point fast-forward for exactly periodic streams.
-
-        Engages when the program certifies a cyclic period
-        (:meth:`Program.period_hint`) — branchy loops, prefetcher-active
-        windows — where per-slot uniformity does not hold.  The core
-
-        1. executes one full period per-instruction to settle entry
-           effects (fetch locality, BTB warm-up, prefetch fills),
-        2. executes and *measures* a second period, recording each
-           instruction's exact float cost and snapshotting every level's
-           version counter, demand miss counters, the mispredict count
-           and the touched BTB entries around it,
-        3. if the measured period left all of those unchanged, the uarch
-           state is a fixed point over the period: every subsequent full
-           period costs the identical float sequence, so it is replayed
-           by re-adding the recorded costs (bit-exact — the same
-           additions in the same order) with zero microarchitectural
-           work.
-
-        Whole periods only: the partial period at the deadline falls
-        back to per-instruction execution, so the final machine state is
-        reached through real executes and matches the slow path exactly.
-        Measurement itself *is* real execution, so a failed certificate
-        costs nothing but the snapshot comparison.
-
-        Returns ``(instructions, end_time)`` with retirement and stats
-        already applied, or None if the fast path did not engage at all.
-        """
-        if self._pipeline_cold or self._warmup_remaining > 0:
-            return None
-        idx0 = program.retired
-        period = program.period_hint(idx0)
-        if period is None or period < 2:
-            return None
-        # The window must plausibly cover warm-up + measurement + at
-        # least one replayed period, or measurement buys nothing.
-        if deadline - t < 3.0 * period * self._base_inst_ns:
-            return None
-        executed = 0
-        execute = self.execute
-        retire = program.retire
-        current = program.current
-        # Period 1: warm.  Entry fetch locality / BTB state differ from
-        # the steady phase, so this period is not representative.
-        for _ in range(period):
-            inst = current()
-            if inst is None:
-                return (executed, t) if executed else None
-            t += execute(asid, inst)
-            retire()
-            executed += 1
-            if t >= deadline:
-                return executed, t
-        hierarchy = self.hierarchy
-        cid = self.core_id
-        l1i = hierarchy.l1i[cid]
-        l1d = hierarchy.l1d[cid]
-        l2 = hierarchy.l2[cid]
-        llc = hierarchy.llc
-        itlb = self.tlbs.itlb[cid]
-        stlb = self.tlbs.stlb[cid]
-        levels = (l1i, l1d, l2, llc, itlb, stlb)
-        pcs = program.period_pcs(program.retired)
-        pre = tuple(v for lvl in levels for v in (lvl.version, lvl.misses))
-        pre_mispredicts = self.stats.mispredicts
-        pre_btb = self.btb.snapshot(pcs)
-        # Period 2: measure.
-        costs = []
-        append = costs.append
-        for _ in range(period):
-            inst = current()
-            if inst is None:
-                return executed, t
-            cost = execute(asid, inst)
-            t += cost
-            retire()
-            executed += 1
-            append(cost)
-            if t >= deadline:
-                return executed, t
-        post = tuple(v for lvl in levels for v in (lvl.version, lvl.misses))
-        if (post != pre or self.stats.mispredicts != pre_mispredicts
-                or self.btb.snapshot(pcs) != pre_btb):
-            self.stats.ff_periodic_fallbacks += 1
-            return executed, t  # no fixed point; the slow path continues
-        remaining = program.instructions_remaining(program.retired)
-        replayed = 0
-        while remaining is None or replayed + period <= remaining:
-            tentative = t
-            for c in costs:
-                tentative += c
-            if tentative > deadline:
-                break
-            t = tentative
-            replayed += period
-            if t >= deadline:
-                break
-        if replayed:
-            program.retire_bulk(replayed)
-            self.stats.instructions_retired += replayed
-            self.stats.ff_periodic_windows += 1
-            self.stats.ff_insts_fast_forwarded += replayed
-            executed += replayed
-        return executed, t
-
-    def _try_loop_fast_forward(
-        self, asid: int, program: Program, t: float, deadline: float
-    ):
-        """Whole-loop fast-forward for steady-state tight loops.
-
-        Engages only when (a) the program reports a loop profile at its
-        current index, (b) the remaining window covers at least two full
-        iterations, and (c) the loop's entire footprint is already
-        resident (every line in this core's L1I, every page translated),
-        so per-iteration cost is exactly ``cycles_per_loop``.  Returns
-        ``(iterations, elapsed_ns)`` or None.
-        """
-        profile = program.loop_profile(program.retired)
-        if profile is None or self._warmup_remaining > 0:
-            return None
-        per_loop_ns = cycles_to_ns(profile.cycles_per_loop)
-        window = deadline - t
-        if window < 2 * per_loop_ns:
-            return None
-        if not self._footprint_resident(asid, profile):
-            return None
-        loops = int(window / per_loop_ns)
-        if profile.max_loops is not None:
-            loops = min(loops, profile.max_loops)
-        if loops < 1:
-            return None
-        return loops, loops * per_loop_ns
 
     def warm_resume(self, asid: int, program: Program, depth: int) -> None:
         """AEX-Notify model (§6, Constable et al.): a trusted in-enclave

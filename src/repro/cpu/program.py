@@ -21,7 +21,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from repro.cpu.isa import Instruction, InstrKind, branch, nop
+from repro.cpu.isa import Instruction, InstrKind
 from repro.uarch.timing import cycles_to_ns
 
 
@@ -117,25 +117,6 @@ class Program(ABC):
     #: the executor runs its generic twin loop instead.
     steady_twin = None
 
-    def period_hint(self, index: int) -> Optional[int]:
-        """Length of the repeating dynamic-instruction period at
-        ``index``, for programs whose stream is exactly cyclic (branchy
-        loops with a fixed taken pattern).  The executor uses it to
-        *measure* one period per-instruction and, once the uarch state
-        proves to be a fixed point over the period, replay subsequent
-        periods arithmetically.  Default: none (no periodic fast path).
-        """
-        return None
-
-    def period_pcs(self, index: int) -> Tuple[int, ...]:
-        """Distinct PCs touched by one period (BTB fixed-point check)."""
-        return ()
-
-    def instructions_remaining(self, index: int) -> Optional[int]:
-        """Instructions left in the stream from ``index`` (None =
-        unbounded).  Periodic replay never advances past this bound."""
-        return None
-
 
 class TraceProgram(Program):
     """A finite, fully materialized instruction trace."""
@@ -226,7 +207,7 @@ class StraightlineProgram(Program):
         return run if run > 0 else 0
 
     def loop_profile(self, index: int) -> Optional[LoopProfile]:
-        """Whole-loop fast-forward is valid from any loop-top index."""
+        """Whole-loop multiplies are valid from any loop-top index."""
         if index % self.loop_insts != 0:
             return None
         max_loops = None
@@ -438,85 +419,3 @@ class StraightlineProgram(Program):
         if count < 1:
             return None
         return count, t
-
-
-class PeriodicProgram(Program):
-    """Unbounded cyclic repetition of a finite instruction block.
-
-    Models branchy victims whose dynamic stream is exactly periodic: a
-    loop body with conditional branches following a fixed per-iteration
-    taken pattern (unroll the pattern into the block if it spans several
-    iterations).  Unlike :class:`StraightlineProgram` the block's
-    instructions are *not* uniform-cost — branches mispredict until the
-    BTB warms, taken branches trigger target-line prefetches, loads hit
-    or miss — so the slot-level fast paths stay off and the executor's
-    *periodic* fast-forward handles it instead: measure one period,
-    certify the uarch state as a fixed point, replay.
-    """
-
-    def __init__(self, block: List[Instruction], total: Optional[int] = None,
-                 name: str = "periodic"):
-        super().__init__()
-        if not block:
-            raise ValueError("empty block")
-        self.name = name
-        self.block = list(block)
-        self.period = len(self.block)
-        self.total = total
-        # Distinct PCs in block order, for BTB fixed-point snapshots.
-        self._pcs = tuple(dict.fromkeys(i.pc for i in self.block))
-
-    def instruction_at(self, index: int) -> Optional[Instruction]:
-        if self.total is not None and index >= self.total:
-            return None
-        return self.block[index % self.period]
-
-    def period_hint(self, index: int) -> Optional[int]:
-        if self.total is not None and self.total - index < self.period:
-            return None
-        return self.period
-
-    def period_pcs(self, index: int) -> Tuple[int, ...]:
-        return self._pcs
-
-    def instructions_remaining(self, index: int) -> Optional[int]:
-        if self.total is None:
-            return None
-        return self.total - index
-
-
-def make_branchy_loop(
-    base_pc: int = 0x400000,
-    *,
-    n_lines: int = 4,
-    taken_pattern: Tuple[bool, ...] = (True, False, True, True),
-    inst_size: int = 4,
-    total: Optional[int] = None,
-) -> PeriodicProgram:
-    """Branchy §4.3-style victim: ``n_lines`` cache lines of code where
-    each line ends in a conditional branch to the next line (taken per
-    ``taken_pattern``, not-taken falls through to the same place), and
-    the last line jumps back to the top.
-
-    Taken branches allocate BTB entries whose predictions trigger
-    target-line prefetches on every subsequent iteration — a
-    prefetcher-active, mispredict-warming window that defeats the
-    uniform-stream fast path and exercises the periodic one.
-    """
-    per_line = 64 // inst_size
-    block: List[Instruction] = []
-    for ln in range(n_lines):
-        line_base = base_pc + ln * 64
-        for slot in range(per_line - 1):
-            block.append(nop(line_base + slot * inst_size, size=inst_size))
-        branch_pc = line_base + (per_line - 1) * inst_size
-        next_line = base_pc if ln == n_lines - 1 else line_base + 64
-        if ln == n_lines - 1:
-            block.append(Instruction(pc=branch_pc, kind=InstrKind.JMP,
-                                     target=base_pc, size=inst_size))
-        else:
-            taken = taken_pattern[ln % len(taken_pattern)]
-            # Both arms resume at the next line: the branch direction
-            # changes BTB/prediction behaviour, not the code path.
-            block.append(branch(branch_pc, next_line, taken))
-    return PeriodicProgram(block, total=total, name="branchy_loop")

@@ -56,6 +56,7 @@ __all__ = [
     "TELEMETRY_FILENAME",
     "telemetry_enabled",
     "cell_metrics_scope",
+    "fold_cell_metrics",
     "merge_scalars",
     "merge_histograms",
     "percentile_summary",
@@ -100,14 +101,18 @@ def _fold_registry(parent: MetricsRegistry, cell: MetricsRegistry) -> None:
 
 
 @contextmanager
-def cell_metrics_scope():
+def cell_metrics_scope(*, fold: bool = True):
     """Swap a fresh enabled registry into the default observability for
     the duration of one cell.
 
     Yields the fresh registry (or None when metrics are disabled — the
     scope is then a no-op, preserving the null-instrument fast path).
-    On exit the parent registry is restored and the cell's numbers are
-    folded into it.
+    The publish target is cleared on entry, so the pull gauges a
+    publish inside the scope records come from a kernel this cell
+    built, never from one an earlier cell left alive.  On exit the
+    parent registry is restored and, with ``fold``, the cell's numbers
+    are folded into it; a pool worker passes ``fold=False`` and ships
+    the registry to the caller's :func:`fold_cell_metrics` instead.
     """
     from repro.obs import get_obs
 
@@ -118,11 +123,22 @@ def cell_metrics_scope():
         return
     fresh = MetricsRegistry(enabled=True)
     obs.metrics = fresh
+    obs._kernel_ref = None
     try:
         yield fresh
     finally:
         obs.metrics = parent
-        _fold_registry(parent, fresh)
+        if fold:
+            _fold_registry(parent, fresh)
+
+
+def fold_cell_metrics(registry: Optional[MetricsRegistry]) -> None:
+    """Fold a cell registry (from a ``fold=False`` scope, possibly in
+    another process) into this process's default registry."""
+    if registry is not None:
+        from repro.obs import get_obs
+
+        _fold_registry(get_obs().metrics, registry)
 
 
 # ----------------------------------------------------------------------
@@ -462,10 +478,7 @@ def render_report(run_dir: str,
         for key, label in (
             ("ff.windows.steady", "steady windows"),
             ("ff.windows.warmup", "warm-up windows"),
-            ("ff.windows.periodic", "periodic windows"),
-            ("ff.windows.loop", "loop windows"),
             ("ff.uniform_bulk_retires", "uniform bulk retires"),
-            ("ff.periodic_fallbacks", "periodic fallbacks"),
             ("cpu.spec_early_outs", "speculation early-outs"),
         ):
             if key in counters:

@@ -18,13 +18,19 @@ results **bit-identical** to a serial run:
 ``jobs`` semantics, everywhere in this repo:
 
 * ``jobs=None`` — read ``REPRO_JOBS`` from the environment; unset means
-  serial (libraries never surprise callers with a pool);
+  ``os.cpu_count()`` (export ``REPRO_JOBS=1`` to keep a library caller
+  serial);
 * ``jobs=0`` or negative — use ``os.cpu_count()``;
 * ``jobs=1`` — serial in-process execution (no pool, no pickling);
 * ``jobs>1`` — a :class:`concurrent.futures.ProcessPoolExecutor` with
   that many workers.
 
 The CLI (`python -m repro --jobs N`) defaults to ``os.cpu_count()``.
+
+With metrics on, every cell runs against its own registry
+(:func:`repro.obs.telemetry.cell_metrics_scope`) that is folded back
+into the caller's registry in submission order, so a ``--metrics``
+table is byte-identical for any ``jobs``.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, TypeVar
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -122,10 +128,7 @@ def derive_seed(root_seed: int, *identity: object) -> int:
 def resolve_jobs(jobs: Optional[int] = None) -> int:
     """Resolve a ``jobs`` argument to a concrete worker count (>= 1)."""
     if jobs is None:
-        env = os.environ.get("REPRO_JOBS", "").strip()
-        if not env:
-            return 1
-        jobs = int(env)
+        jobs = int(os.environ.get("REPRO_JOBS", "").strip() or 0)
     if jobs <= 0:
         jobs = os.cpu_count() or 1
     return max(1, jobs)
@@ -149,6 +152,18 @@ def parallel_map(
     total + throughput line on stderr as cells finish.
     """
     items = list(items)
+    if not _metrics_enabled():
+        return _map(fn, items, jobs, progress)
+    from repro.obs.telemetry import fold_cell_metrics
+
+    pairs = _map(_scoped_call, [(fn, item) for item in items], jobs, progress)
+    for _, registry in pairs:
+        fold_cell_metrics(registry)
+    return [result for result, _ in pairs]
+
+
+def _map(fn: Callable[[T], R], items: List[T], jobs: Optional[int],
+         progress: Optional[bool]) -> List[R]:
     jobs = resolve_jobs(jobs)
     show = _progress_enabled(progress) and len(items) > 1
     if jobs <= 1 or len(items) <= 1:
@@ -186,6 +201,27 @@ def _serial_map(fn: Callable[[T], R], items: Sequence[T], show: bool) -> List[R]
     finally:
         meter.finish()
     return results
+
+
+def _metrics_enabled() -> bool:
+    from repro.obs import get_obs
+
+    return get_obs().metrics.enabled
+
+
+def _scoped_call(call: Tuple[Callable[[Any], Any], Any]) -> Tuple[Any, Any]:
+    """Run ``fn(arg)`` against a fresh metrics registry, publish the
+    pull gauges of the kernel it built, and return ``(result,
+    registry)``.  Serial and pooled schedules both go through here, so
+    the caller folds the same registries in the same order."""
+    from repro.obs import get_obs
+    from repro.obs.telemetry import cell_metrics_scope
+
+    fn, arg = call
+    with cell_metrics_scope(fold=False) as registry:
+        result = fn(arg)
+        get_obs().publish()
+    return result, registry
 
 
 def _invoke_kwargs(payload: Any) -> Any:
@@ -301,6 +337,38 @@ def map_payloads_completions(
     own ``module:qualname``, never a shared dispatcher's).
     """
     payloads = [(fn_i, dict(kw)) for fn_i, kw in payloads]
+    if not _metrics_enabled():
+        return _completions(_invoke_kwargs, payloads, jobs, progress,
+                            on_result, should_abort)
+    # Cells complete in any order; their registries fold in submission
+    # order once the map ends (or stops), like parallel_map's.
+    registries: Dict[int, Any] = {}
+
+    def on_pair(index: int, pair: Tuple[Any, Any]) -> None:
+        result, registries[index] = pair
+        if on_result is not None:
+            on_result(index, result)
+
+    try:
+        pairs = _completions(
+            _scoped_call, [(_invoke_kwargs, payload) for payload in payloads],
+            jobs, progress, on_pair, should_abort)
+    finally:
+        from repro.obs.telemetry import fold_cell_metrics
+
+        for index in sorted(registries):
+            fold_cell_metrics(registries[index])
+    return [result for result, _ in pairs]
+
+
+def _completions(
+    call: Callable[[Any], Any],
+    payloads: List[Any],
+    jobs: Optional[int],
+    progress: Optional[bool],
+    on_result: Optional[Callable[[int, Any], None]],
+    should_abort: Optional[Callable[[], bool]],
+) -> List[Any]:
     jobs = resolve_jobs(jobs)
     show = _progress_enabled(progress) and len(payloads) > 1
     results: List[Any] = [None] * len(payloads)
@@ -321,7 +389,7 @@ def map_payloads_completions(
                     raise SweepInterrupted(
                         f"sweep interrupted after {completed} cells",
                         completed)
-                finish_one(index, _invoke_kwargs(payload))
+                finish_one(index, call(payload))
                 completed += 1
                 _chaos_tick(completed)
         finally:
@@ -332,22 +400,21 @@ def map_payloads_completions(
     workers = min(jobs, len(payloads))
     try:
         pool = ProcessPoolExecutor(max_workers=workers)
-        probe = pool.submit(_invoke_kwargs, payloads[0])
+        probe = pool.submit(call, payloads[0])
         first = probe.result()
     except (OSError, PermissionError):
         # Sandboxes without fork/semaphore support degrade to serial —
         # same results, same journal, just slower.
         if meter is not None:
             meter.finish()
-        return map_payloads_completions(
-            payloads, jobs=1, progress=progress,
-            on_result=on_result, should_abort=should_abort)
+        return _completions(call, payloads, 1, progress, on_result,
+                            should_abort)
     try:
         finish_one(0, first)
         completed += 1
         _chaos_tick(completed)
         future_index = {
-            pool.submit(_invoke_kwargs, payload): index
+            pool.submit(call, payload): index
             for index, payload in enumerate(payloads[1:], start=1)
         }
         for future in as_completed(future_index):

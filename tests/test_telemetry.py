@@ -166,6 +166,21 @@ class TestJobsInvariance:
                 sort_keys=True)
         assert blobs[1] == blobs[2]
 
+    @pytest.mark.parametrize("argv", [
+        ["btb", "--pairs", "2"],
+        ["aes", "--keys", "2", "--traces", "2"],
+    ])
+    def test_metrics_table_identical_serial_vs_pool(self, argv, capsys):
+        """``--metrics`` folds pool-worker registries back in submission
+        order, so the printed table is byte-identical for any --jobs."""
+        tables = {}
+        for jobs in (1, 2):
+            assert main(["--no-manifest", "--metrics", "--jobs", str(jobs),
+                         *argv]) == 0
+            tables[jobs] = capsys.readouterr().out
+        assert "ff.windows.steady" in tables[1]
+        assert tables[1] == tables[2]
+
 
 # ----------------------------------------------------------------------
 # Fast-path counters actually fire
