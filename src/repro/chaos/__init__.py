@@ -1,13 +1,11 @@
 """``repro.chaos`` — deterministic, seeded fault injection.
 
-The service test battery proved the robustness contract with a handful
-of hand-written ``fault_plan`` scenarios; this package turns those
-test-only hooks into a *supported injection surface*: a *fault
-schedule* — seeded draws plus explicit events, saved to a replayable
-JSON manifest exactly like a ``repro.validate`` case — that injects
-worker kills, cell timeouts, cache corruption, lock-holder stalls,
-connection drops and mid-sweep aborts at deterministic points across
-the experiment service, the pool runner, and the cell cache.
+A *fault schedule* — seeded draws plus explicit events, saved to a
+replayable JSON manifest exactly like a ``repro.validate`` case —
+injects mid-sweep aborts and signals, cache corruption and lock-holder
+stalls at deterministic points in the journaled sweep runner and the
+cell cache, so the crash/resume and cache-verification contracts are
+exercised by real faults rather than test-only hooks.
 
 Activation is environmental (``REPRO_CHAOS=/path/to/chaos.json``), so
 process-pool workers inherit the schedule the same way they inherit
@@ -30,7 +28,6 @@ from repro.chaos.engine import (
     chaos_point,
     load_spec,
     reset_active,
-    service_fault,
 )
 
 __all__ = [
@@ -45,5 +42,4 @@ __all__ = [
     "chaos_point",
     "load_spec",
     "reset_active",
-    "service_fault",
 ]

@@ -5,31 +5,27 @@ A schedule (:class:`ChaosSpec`) is replayable the same way a
 every fault decision is a pure function of ``(spec.seed, injection
 point, call identity)`` — two runs with the same schedule inject the
 same faults at the same logical points no matter how the pool packed
-cells onto workers or how the event loop interleaved batches.
+cells onto workers.
 
 Two fault sources compose:
 
 * **events** — explicit ``(point, kind, match)`` triples that fire when
-  the call identity matches (e.g. *kill the worker computing the cell
-  with seed 123 on attempt 0*).  This is the scripted form the CI
-  chaos-smoke job and the regression tests use;
+  the call identity matches (e.g. *SIGTERM the sweep after its second
+  completed cell*).  This is the scripted form the CI chaos-smoke job
+  and the regression tests use;
 * **rates** — per ``(point, kind)`` probabilities drawn from a
   derived-seed RNG keyed by the call identity, for broad randomized
   campaigns (*corrupt 5 % of cache fetches*).  The draw depends only on
-  the identity, so a retry (whose identity includes the attempt
-  counter) redraws while a re-run of the same schedule replays
-  identically.
+  the identity, so a re-run of the same schedule replays identically.
 
 Injection points (see docs/CHAOS.md for the full catalogue):
 
 ========================  ====================  =========================
 point                     kinds                 identity
 ========================  ====================  =========================
-``service.cell``          worker_kill, timeout  experiment, seed, attempt
 ``runner.tick``           abort, sigterm        completed (cell count)
 ``cellcache.fetch``       corrupt               key
 ``cellcache.store``       stall                 key
-``client.frame``          conn_drop             frame, attempt
 ========================  ====================  =========================
 
 Faults fired are counted as ``chaos.injected`` plus a per-point/kind
@@ -59,7 +55,6 @@ __all__ = [
     "chaos_point",
     "load_spec",
     "reset_active",
-    "service_fault",
 ]
 
 CHAOS_ENV = "REPRO_CHAOS"
@@ -67,17 +62,14 @@ CHAOS_SCHEMA = 1
 
 #: Injection-point catalogue: point name → fault kinds it understands.
 INJECTION_POINTS: Dict[str, Tuple[str, ...]] = {
-    "service.cell": ("worker_kill", "timeout"),
     "runner.tick": ("abort", "sigterm"),
     "cellcache.fetch": ("corrupt",),
     "cellcache.store": ("stall",),
-    "client.frame": ("conn_drop",),
 }
 
 #: Default fault parameters, overridable per-spec (``params``) and
 #: per-event (``FaultEvent.params``).
 DEFAULT_PARAMS: Dict[str, float] = {
-    "timeout_sleep_s": 1.0,   # how long a 'timeout' fault stalls the worker
     "stall_sleep_s": 0.2,     # how long a 'stall' fault holds the store lock
 }
 
@@ -250,11 +242,7 @@ class ChaosEngine:
             return None
         self.fired += 1
         fault: Dict[str, Any] = {"kind": kind}
-        if kind == "timeout":
-            fault["sleep_s"] = float(overrides.get(
-                "sleep_s", self.spec.params.get(
-                    "timeout_sleep_s", DEFAULT_PARAMS["timeout_sleep_s"])))
-        elif kind == "stall":
+        if kind == "stall":
             fault["sleep_s"] = float(overrides.get(
                 "sleep_s", self.spec.params.get(
                     "stall_sleep_s", DEFAULT_PARAMS["stall_sleep_s"])))
@@ -317,23 +305,3 @@ def chaos_point(point: str, **identity: Any) -> Optional[Dict[str, Any]]:
     if engine is None:
         return None
     return engine.decide(point, identity)
-
-
-def service_fault(experiment: str, params: Dict[str, Any],
-                  attempt: int) -> Optional[Dict[str, Any]]:
-    """``ServiceConfig.fault_plan``-shaped view of the active schedule.
-
-    Maps the ``service.cell`` point onto the JSON-safe descriptors
-    :func:`repro.service.server.execute_cell` understands, so a server
-    started under ``REPRO_CHAOS`` injects without any test plumbing.
-    """
-    fault = chaos_point(
-        "service.cell", experiment=experiment,
-        seed=params.get("seed"), attempt=attempt)
-    if fault is None:
-        return None
-    if fault["kind"] == "worker_kill":
-        return {"die": True}
-    if fault["kind"] == "timeout":
-        return {"sleep_s": fault["sleep_s"]}
-    return None

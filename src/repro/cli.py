@@ -14,15 +14,12 @@ without writing harness code:
     python -m repro trace resolution --out trace.json
     python -m repro stats resolution
     python -m repro replay runs/run-resolution-s0-xxxxxxxxxx.json
-    python -m repro serve --port 7341 &
-    python -m repro submit resolution --port 7341 \\
+    python -m repro run resolution --run-dir sweep1 \\
         --grid tau=700,740,780 --param preemptions=200
 
-``repro serve`` turns the same experiment registry into an async
-service: batches of cells are deduped by their content-addressed
-manifest key against the cell cache *and* against work already in
-flight, so overlapping grids submitted by many clients simulate each
-unique cell once (docs/SERVICE.md).
+``repro run`` executes a cell grid inside a run directory with a
+write-ahead journal, so an interrupted sweep continues with
+``--resume`` and recomputes none of its journaled cells.
 
 ``--jobs N`` fans independent trials out over a process pool; ``--jobs
 0`` means "all cores" (``os.cpu_count()``).  Results are bit-identical
@@ -460,62 +457,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 # ----------------------------------------------------------------------
-# Experiment service (``repro serve`` / ``repro submit``)
+# Journaled sweeps (``repro run``)
 # ----------------------------------------------------------------------
-def _cmd_serve(args: argparse.Namespace) -> int:
-    """Run the async experiment service until SIGINT/SIGTERM (or a
-    client ``drain``), then finish in-flight cells and exit."""
-    import asyncio
-    import signal
-
-    from repro.parallel import resolve_jobs
-    from repro.service.server import ExperimentService, ServiceConfig
-
-    manifest_dir = None if args.no_manifest else args.manifest_dir
-    cache_dir = None if args.no_cell_cache else _cache_dir_for(args)
-    config = ServiceConfig(
-        host=args.host,
-        port=args.port,
-        workers=resolve_jobs(args.jobs),
-        queue_limit=args.queue_limit,
-        cell_timeout_s=args.cell_timeout,
-        max_retries=args.cell_retries,
-        cache_dir=cache_dir,
-        manifest_dir=manifest_dir,
-        breaker_threshold=args.breaker_threshold,
-        breaker_window_s=args.breaker_window,
-        breaker_reset_s=args.breaker_reset,
-        degraded_max_inline=args.degraded_max_inline,
-        journal_dir=args.journal_dir,
-    )
-    service = ExperimentService(config)
-
-    async def _main() -> None:
-        await service.start()
-        print(f"[serve] listening on {config.host}:{service.port} "
-              f"({config.workers} worker(s), queue limit "
-              f"{config.queue_limit}, cache "
-              f"{cache_dir or 'disabled'})", flush=True)
-        loop = asyncio.get_running_loop()
-
-        def _request_drain() -> None:
-            asyncio.ensure_future(service.drain())
-
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(signum, _request_drain)
-            except (NotImplementedError, RuntimeError):
-                pass
-        await service.serve_until_stopped()
-        print("[serve] drained, shutting down", file=sys.stderr)
-
-    try:
-        asyncio.run(_main())
-    except KeyboardInterrupt:
-        pass
-    return 0
-
-
 def _param_value(raw: str):
     """A ``--param``/``--grid`` value: JSON when it parses, else the
     raw string (so ``--param scheduler=cfs`` needs no quoting)."""
@@ -536,7 +479,7 @@ def _kv_pair(raw: str, flag: str):
 
 
 def _build_cells(args: argparse.Namespace):
-    """The sweep-shaped cell list shared by ``submit`` and ``run``:
+    """The sweep-shaped cell list of ``repro run``:
     ``--file batch.json``, or EXPERIMENT with ``--param``/``--grid``
     (cartesian product), times ``--repeat``.  None when neither form
     was given (the resume path reloads cells from ``sweep.json``)."""
@@ -562,153 +505,6 @@ def _build_cells(args: argparse.Namespace):
     else:
         return None
     return cells * max(1, getattr(args, "repeat", 1))
-
-
-def _submit_journaled(args: argparse.Namespace, cells) -> int:
-    """``repro submit --run-dir``: a crash-safe service-backed sweep.
-
-    The run dir is bound to the batch with ``sweep.json``; every result
-    frame is journaled *as it streams in*, so killing the client
-    mid-batch loses only undelivered cells.  ``--resume`` replays the
-    journal, resubmits only unjournaled cells, and never recomputes —
-    the final digest list is byte-identical to an uninterrupted submit.
-    """
-    import json
-
-    from repro.obs.cellcache import cell_key
-    from repro.obs.journal import SweepJournal
-    from repro.service import client
-    from repro.sweeps import (
-        CellOutcome, combined_digest, prepare_run_dir,
-    )
-
-    try:
-        spec, jreplay = prepare_run_dir(args.run_dir, cells, args.resume)
-    except ValueError as exc:
-        print(f"[submit] {exc}", file=sys.stderr)
-        return 2
-    sweep_cells = spec.cells
-    keys = [cell_key(c.experiment, c.params) for c in sweep_cells]
-
-    outcomes = [None] * len(sweep_cells)
-    pending: List[int] = []
-    for index, (cell, key) in enumerate(zip(sweep_cells, keys)):
-        digest = jreplay.digest_for(key) if key is not None else None
-        if digest is not None:
-            outcomes[index] = CellOutcome(
-                index=index, experiment=cell.experiment, key=key,
-                digest=digest, source="journal")
-        else:
-            pending.append(index)
-
-    if pending:
-        journal = SweepJournal(args.run_dir, spec_digest=spec.digest())
-
-        def on_cell(cell_result) -> None:
-            # cell_result.index is the index within the *submitted*
-            # (pending-only) batch; map back to the sweep position.
-            index = pending[cell_result.index]
-            if cell_result.status == "failed" or not cell_result.digest:
-                return
-            outcomes[index] = CellOutcome(
-                index=index, experiment=sweep_cells[index].experiment,
-                key=keys[index], digest=cell_result.digest, source="ran")
-            if keys[index] is not None:
-                journal.record(keys[index], cell_result.digest,
-                               index=index,
-                               experiment=sweep_cells[index].experiment)
-
-        try:
-            client.submit_batch(
-                args.host, args.port,
-                [sweep_cells[index] for index in pending],
-                max_attempts=args.send_retries + 1,
-                deadline_s=args.deadline,
-                on_cell=on_cell,
-            )
-        finally:
-            # Killed mid-stream included: everything received so far is
-            # durably journaled, so the run dir stays resumable.
-            journal.close()
-
-    done = [o for o in outcomes if o is not None]
-    errors = sum(1 for o in outcomes if o is None)
-    served = sum(1 for o in done if o.source == "journal")
-    ran = sum(1 for o in done if o.source == "ran")
-    if args.json:
-        print(json.dumps({
-            "run_dir": args.run_dir,
-            "spec_digest": spec.digest(),
-            "digests": [o.digest for o in done],
-            "sweep_digest": combined_digest([o.digest for o in done]),
-            "journal_served": served,
-            "ran": ran,
-            "errors": errors,
-            "cells": len(sweep_cells),
-        }, sort_keys=True))
-    else:
-        for outcome in done:
-            print(f"  cell {outcome.index:>4}  [{outcome.source:<7}]  "
-                  f"digest {outcome.digest[:16]}…")
-        print(f"sweep {args.run_dir}: {len(done)}/{len(sweep_cells)} "
-              f"cell(s) — {served} from journal, {ran} computed"
-              + (f", {errors} error(s)" if errors else ""))
-        print(f"sweep digest: "
-              f"{combined_digest([o.digest for o in done])[:16]}…")
-    return 0 if not errors and len(done) == len(sweep_cells) else 1
-
-
-def _cmd_submit(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.service import client
-
-    if args.ping:
-        print(json.dumps(client.ping(args.host, args.port), sort_keys=True))
-        return 0
-    if args.drain_server:
-        print(json.dumps(client.drain(args.host, args.port), sort_keys=True))
-        return 0
-    cells = _build_cells(args)
-    if args.run_dir:
-        if cells is None and not args.resume:
-            print("submit --run-dir needs an EXPERIMENT/--file, or "
-                  "--resume to continue the recorded sweep",
-                  file=sys.stderr)
-            return 2
-        return _submit_journaled(args, cells)
-    if args.resume:
-        print("--resume needs --run-dir (the journal lives in the run "
-              "directory)", file=sys.stderr)
-        return 2
-    if cells is None:
-        print("submit needs an EXPERIMENT (with --param/--grid) or "
-              "--file batch.json", file=sys.stderr)
-        return 2
-    result = client.submit_batch(
-        args.host, args.port, cells,
-        max_attempts=args.send_retries + 1,
-        deadline_s=args.deadline,
-    )
-    if args.json:
-        print(json.dumps({
-            "batch_id": result.batch_id,
-            "summary": result.summary,
-            "digests": result.digests,
-            "statuses": [c.status for c in result.cells],
-            "sources": [c.source for c in result.cells],
-        }, sort_keys=True))
-    else:
-        for cell in result.cells:
-            digest = (cell.digest or "")[:16]
-            note = cell.error or f"digest {digest}…"
-            print(f"  cell {cell.index:>4}  {cell.status:<8} "
-                  f"[{cell.source}]  {note}")
-        summary = ", ".join(f"{k}={v}"
-                            for k, v in sorted(result.summary.items()))
-        print(f"batch {result.batch_id}: {len(result.cells)} cell(s) — "
-              f"{summary}")
-    return 0 if result.ok else 1
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -1095,97 +891,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser(
-        "serve",
-        help="run the async experiment service: batches of cells in, "
-             "manifest-keyed dedupe against the cell cache, worker-pool "
-             "execution (see docs/SERVICE.md)",
-    )
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=0,
-                   help="TCP port (default 0 = ephemeral; the chosen "
-                        "port is printed on stdout)")
-    p.add_argument("--queue-limit", type=int, default=256,
-                   help="max admitted-but-unfinished cells before "
-                        "submissions get backpressure (default: 256)")
-    p.add_argument("--cell-timeout", type=float, default=120.0,
-                   metavar="S",
-                   help="per-cell wall-clock timeout; a timed-out cell "
-                        "counts as a transport failure and is retried")
-    p.add_argument("--cell-retries", type=int, default=2, metavar="N",
-                   help="transport-failure retries per cell (the retried "
-                        "cell is identical — never re-seeded; default: 2)")
-    p.add_argument("--breaker-threshold", type=int, default=3, metavar="N",
-                   help="pool replacements inside --breaker-window that "
-                        "trip the circuit breaker into degraded inline "
-                        "execution (default: 3)")
-    p.add_argument("--breaker-window", type=float, default=30.0,
-                   metavar="S",
-                   help="sliding window for counting pool replacements "
-                        "(default: 30s)")
-    p.add_argument("--breaker-reset", type=float, default=60.0,
-                   metavar="S",
-                   help="how long degraded mode lasts before the breaker "
-                        "half-opens and tries a fresh pool (default: 60s)")
-    p.add_argument("--degraded-max-inline", type=int, default=2,
-                   metavar="N",
-                   help="concurrent inline cells while degraded "
-                        "(default: 2)")
-    p.add_argument("--journal-dir", default=None, metavar="DIR",
-                   help="append each completed cell's key+digest to a sweep "
-                        "journal in DIR (survives crashes; clients can "
-                        "also journal on their side with submit "
-                        "--run-dir)")
-    # Accept the global --jobs after the verb too.
-    p.add_argument("--jobs", type=_jobs_type, default=argparse.SUPPRESS,
-                   metavar="N")
-    p.set_defaults(func=_cmd_serve)
-
-    p = sub.add_parser(
-        "submit",
-        help="submit experiment cells to a running `repro serve` and "
-             "stream per-cell results",
-    )
-    p.add_argument("experiment", nargs="?", default=None,
-                   help="registry verb (e.g. resolution) or "
-                        "repro.module:function path")
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, required=False, default=7341)
-    p.add_argument("--param", action="append", metavar="NAME=VALUE",
-                   help="fixed parameter (JSON value or bare string); "
-                        "repeatable")
-    p.add_argument("--grid", action="append", metavar="NAME=V1,V2,...",
-                   help="sweep axis; repeated axes form the cartesian "
-                        "product (the overlapping-grid shape the "
-                        "service dedupes)")
-    p.add_argument("--file", default=None, metavar="BATCH_JSON",
-                   help="JSON file with a list of cells (or "
-                        "{'cells': [...]}) instead of EXPERIMENT")
-    p.add_argument("--repeat", type=int, default=1,
-                   help="submit the batch's cells N times over "
-                        "(duplicates exercise dedupe; default 1)")
-    p.add_argument("--send-retries", type=int, default=4, metavar="N",
-                   help="resubmissions to attempt when the server "
-                        "answers queue-full backpressure (default: 4)")
-    p.add_argument("--deadline", type=float, default=None, metavar="S",
-                   help="total wall-clock budget for the backpressure "
-                        "resubmit loop (default: unbounded)")
-    p.add_argument("--run-dir", default=None, metavar="DIR",
-                   help="make the submit crash-safe: bind the batch to "
-                        "DIR/sweep.json and journal each result frame "
-                        "as it streams in (resume with --resume)")
-    p.add_argument("--resume", action="store_true",
-                   help="with --run-dir: replay the journal and resubmit "
-                        "only unjournaled cells (zero recomputation)")
-    p.add_argument("--json", action="store_true",
-                   help="machine-readable summary on stdout")
-    p.add_argument("--ping", action="store_true",
-                   help="just check liveness and print the pong")
-    p.add_argument("--drain-server", action="store_true",
-                   help="ask the server to finish queued work and shut "
-                        "down")
-    p.set_defaults(func=_cmd_submit)
-
-    p = sub.add_parser(
         "run",
         help="crash-safe local sweep: execute a cell grid inside a run "
              "directory with a write-ahead journal; --resume continues "
@@ -1234,9 +939,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="probabilistic fault, e.g. "
                         "cellcache.fetch:corrupt=0.05; repeatable")
     c.add_argument("--event", action="append", metavar="JSON",
-                   help="scripted fault, e.g. '{\"point\":\"service.cell\","
-                        "\"kind\":\"worker_kill\",\"match\":{\"seed\":123,"
-                        "\"attempt\":0}}'; repeatable")
+                   help="scripted fault, e.g. '{\"point\":\"runner.tick\","
+                        "\"kind\":\"sigterm\",\"match\":{\"completed\":2}}'; "
+                        "repeatable")
     c.add_argument("--max-faults", type=int, default=None, metavar="N",
                    help="per-process cap on executed faults "
                         "(default: unlimited)")
@@ -1290,7 +995,7 @@ def _configure_obs(args: argparse.Namespace) -> None:
     # Chaos rides the same env-var channel so pool workers (fork or
     # spawn) replay the exact same fault schedule as the parent.  An
     # externally exported REPRO_CHAOS is left alone when --chaos is not
-    # given (the CI smoke sets it around the whole serve/submit pair).
+    # given (the CI smoke exports it around a whole `repro run`).
     chaos = getattr(args, "chaos", None)
     if chaos is not None:
         os.environ["REPRO_CHAOS"] = chaos

@@ -1,29 +1,30 @@
-"""Wire-format experiment cells: the service's unit of work.
+"""Wire-format experiment cells: the unit of work of a journaled sweep.
 
-The experiment service (:mod:`repro.service`) accepts cells over a JSON
-protocol, so a cell must be constructible from plain JSON — and, just
-as important, two requests that *mean* the same cell must normalize to
-the same parameter dict, because the service dedupes work by the cell's
-content-addressed manifest key (:meth:`repro.obs.cellcache.CellCache.
-key_for`).  Without normalization, ``{"tau": 740}`` and ``{"tau":
-740.0, "preemptions": 1000}`` would be two different keys for one
-simulation.
+``repro run`` reads cells from JSON (``--file``) or expands them from
+``--grid``/``--param`` flags, and :mod:`repro.sweeps` saves them to a
+run directory's ``sweep.json``, so a cell must be constructible from
+plain JSON — and, just as important, two spellings that *mean* the
+same cell must normalize to the same parameter dict, because the cell
+cache and the sweep journal key work by the cell's content-addressed
+manifest key (:meth:`repro.obs.cellcache.CellCache.key_for`).
+Without normalization, ``{"tau": 740}`` and ``{"tau": 740.0,
+"preemptions": 1000}`` would be two different keys for one simulation.
 
 Normalization rules (:func:`normalize_params`):
 
 * the experiment name canonicalizes to ``module:qualname`` — the same
-  identity the parallel runner stores cells under, so a cell submitted
-  by verb (``"resolution"``) dedupes against a cell a ``--jobs`` sweep
-  already cached;
+  identity the parallel runner stores cells under, so a cell named
+  by verb (``"resolution"``) keys identically to a cell a ``--jobs``
+  sweep already cached;
 * **defaults are filled in** from the experiment function's signature:
   a defaulted-and-omitted parameter keys identically to the same value
   passed explicitly;
 * an int provided where the signature says float — a float default,
   or a ``float`` annotation for required parameters like ``tau`` — is
-  coerced (``740`` → ``740.0``), because JSON clients routinely drop
+  coerced (``740`` → ``740.0``), because JSON writers routinely drop
   the ``.0``; bools are never coerced (``True`` is not ``1.0``);
 * unknown parameter names are rejected up front (a typo must fail the
-  request, not silently simulate the default and cache it under a key
+  sweep, not silently simulate the default and cache it under a key
   containing the typo);
 * **structured parameters canonicalize through the experiment's own
   rules**: an experiment function may carry a ``__wire_canonical__``
@@ -32,7 +33,7 @@ Normalization rules (:func:`normalize_params`):
   spelling of the same structured value — ``"leash"`` vs
   ``{"policy": "leash"}`` vs the fully-defaulted kwargs dict, or
   ``None`` vs ``"none"`` vs ``"baseline"`` — keys identically, and a
-  malformed spec fails the request instead of minting a junk key.
+  malformed spec fails the sweep instead of minting a junk key.
 
 Parameter *values* travel in the manifest's sanitized encoding
 (:func:`repro.obs.manifest._sanitize` — enums as ``{"__enum__": ...}``,
@@ -60,7 +61,7 @@ __all__ = [
 
 
 class WireError(ValueError):
-    """A request names an unknown experiment or malformed parameters."""
+    """A cell names an unknown experiment or malformed parameters."""
 
 
 @dataclass(frozen=True)
@@ -198,9 +199,8 @@ def grid_cells(
 ) -> List[WireCell]:
     """The cartesian product of ``sweep`` over ``base`` as cells.
 
-    This is the overlapping-grid shape the service is built for: many
-    users submitting products of small axis lists.  Axes expand in
-    sorted-name order and values in the order given, so the same grid
+    This is the shape of ``repro run --grid``: products of small axis
+    lists.  Axes expand in sorted-name order and values in the order given, so the same grid
     spec always yields the same cell order (and therefore the same
     wire bytes).
     """

@@ -26,8 +26,8 @@ Safety properties:
   result_digest` of its result, and :meth:`CellCache.fetch` re-digests
   the unpickled result on every hit — a corrupt or tampered entry is a
   miss, never a wrong answer (:meth:`CellCache.fetch_outcome`
-  additionally distinguishes the two, so the experiment service can
-  count rejected entries);
+  additionally distinguishes the two, so a caller can count rejected
+  entries);
 * writes are atomic (temp file + ``os.replace``) **and single-writer**:
   a per-key lock file (``O_CREAT|O_EXCL``) elects one winner among
   concurrent processes computing the same cell, so racing workers
@@ -90,8 +90,8 @@ def cell_cache() -> Optional["CellCache"]:
 def cell_key(experiment: str, params: Dict[str, Any]) -> Optional[str]:
     """Content key for one cell, independent of any cache instance.
 
-    This is the identity shared by the cell cache, the service dedupe
-    map, and the sweep journal: SHA-256 over ``(schema, package
+    This is the identity shared by the cell cache and the sweep
+    journal: SHA-256 over ``(schema, package
     version, experiment id, sanitized params)``.  Returns None when
     the params contain a value that does not survive manifest
     sanitization — such a cell is not replayable, so nothing may key
@@ -248,9 +248,8 @@ class CellCache:
         / ``corrupt``.
 
         ``corrupt`` means an entry *exists* but failed digest
-        verification (or did not unpickle) — the experiment service
-        counts those as ``service.cache_rejects`` and recomputes, while
-        a plain ``miss`` is just cold cache.  Both recompute; neither
+        verification (or did not unpickle), while a plain ``miss`` is
+        just cold cache.  Both recompute; neither
         can ever return a wrong answer.
         """
         path = self._path(key)

@@ -50,7 +50,6 @@ __all__ = [
     "resolve_jobs",
     "parallel_map",
     "starmap_kwargs",
-    "starmap_completions",
     "map_payloads_completions",
     "run_trials",
     "SweepInterrupted",
@@ -60,7 +59,7 @@ __all__ = [
 class SweepInterrupted(RuntimeError):
     """A sweep stopped before completing every cell.
 
-    Raised by :func:`starmap_completions` when its ``should_abort``
+    Raised by :func:`map_payloads_completions` when its ``should_abort``
     callback turns true (SIGTERM/SIGINT handlers set exactly that
     flag) — *after* the completed cells were reported through
     ``on_result``, so a journaling caller has already durably recorded
@@ -151,56 +150,7 @@ def parallel_map(
     ``progress`` (or ``REPRO_PROGRESS=1``) renders a live completed/
     total + throughput line on stderr as cells finish.
     """
-    items = list(items)
-    if not _metrics_enabled():
-        return _map(fn, items, jobs, progress)
-    from repro.obs.telemetry import fold_cell_metrics
-
-    pairs = _map(_scoped_call, [(fn, item) for item in items], jobs, progress)
-    for _, registry in pairs:
-        fold_cell_metrics(registry)
-    return [result for result, _ in pairs]
-
-
-def _map(fn: Callable[[T], R], items: List[T], jobs: Optional[int],
-         progress: Optional[bool]) -> List[R]:
-    jobs = resolve_jobs(jobs)
-    show = _progress_enabled(progress) and len(items) > 1
-    if jobs <= 1 or len(items) <= 1:
-        return _serial_map(fn, items, show)
-    workers = min(jobs, len(items))
-    try:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            if not show:
-                return list(pool.map(fn, items, chunksize=1))
-            # submit + as_completed so the progress line advances per
-            # completion; results still reassemble in submission order.
-            meter = _Progress(len(items))
-            futures = [pool.submit(fn, item) for item in items]
-            try:
-                for _ in as_completed(futures):
-                    meter.update()
-            finally:
-                meter.finish()
-            return [f.result() for f in futures]
-    except (OSError, PermissionError):
-        # Sandboxes without fork/semaphore support degrade to serial —
-        # same results, just slower.
-        return _serial_map(fn, items, show)
-
-
-def _serial_map(fn: Callable[[T], R], items: Sequence[T], show: bool) -> List[R]:
-    if not show:
-        return [fn(item) for item in items]
-    meter = _Progress(len(items))
-    results: List[R] = []
-    try:
-        for item in items:
-            results.append(fn(item))
-            meter.update()
-    finally:
-        meter.finish()
-    return results
+    return _execute(fn, list(items), jobs, progress)
 
 
 def _metrics_enabled() -> bool:
@@ -272,7 +222,7 @@ def starmap_kwargs(
     its own derived seed) applied to one module-level cell function.
     """
     payloads = [(fn, dict(kw)) for kw in kwargs_list]
-    return parallel_map(_invoke_kwargs, payloads, jobs=jobs, progress=progress)
+    return _execute(_invoke_kwargs, payloads, jobs, progress)
 
 
 def _chaos_tick(completed: int) -> None:
@@ -293,16 +243,18 @@ def _chaos_tick(completed: int) -> None:
         os.kill(os.getpid(), signal.SIGTERM)
 
 
-def starmap_completions(
-    fn: Callable[..., R],
-    kwargs_list: Iterable[Dict[str, Any]],
+def map_payloads_completions(
+    payloads: Sequence[Any],
     *,
     jobs: Optional[int] = None,
     progress: Optional[bool] = None,
-    on_result: Optional[Callable[[int, R], None]] = None,
+    on_result: Optional[Callable[[int, Any], None]] = None,
     should_abort: Optional[Callable[[], bool]] = None,
-) -> List[R]:
-    """:func:`starmap_kwargs`, but reporting cells in completion order.
+) -> List[Any]:
+    """Run explicit ``(fn, kwargs)`` payloads, reporting cells in
+    completion order — the form journaled sweeps need, where each cell
+    names its own callable (cache/manifest identity stays the cell's
+    own ``module:qualname``, never a shared dispatcher's).
 
     ``on_result(index, result)`` fires as each cell *finishes* —
     whatever order the pool finishes them in — which is exactly what a
@@ -317,31 +269,29 @@ def starmap_completions(
     active chaos schedule's ``runner.tick`` point is consulted at the
     same cadence.
     """
-    payloads = [(fn, dict(kw)) for kw in kwargs_list]
-    return map_payloads_completions(
-        payloads, jobs=jobs, progress=progress,
-        on_result=on_result, should_abort=should_abort)
+    payloads = [(fn_i, dict(kw)) for fn_i, kw in payloads]
+    return _execute(_invoke_kwargs, payloads, jobs, progress,
+                    on_result, should_abort, tick=_chaos_tick)
 
 
-def map_payloads_completions(
-    payloads: Sequence[Any],
-    *,
-    jobs: Optional[int] = None,
-    progress: Optional[bool] = None,
+def _execute(
+    call: Callable[[Any], Any],
+    items: List[Any],
+    jobs: Optional[int],
+    progress: Optional[bool],
     on_result: Optional[Callable[[int, Any], None]] = None,
     should_abort: Optional[Callable[[], bool]] = None,
+    *,
+    tick: Optional[Callable[[int], None]] = None,
 ) -> List[Any]:
-    """:func:`starmap_completions` over explicit ``(fn, kwargs)``
-    payloads — the form mixed-experiment sweeps need, where each cell
-    names its own callable (cache/manifest identity stays the cell's
-    own ``module:qualname``, never a shared dispatcher's).
+    """The cell executor behind every public map in this module:
+    ``[call(x) for x in items]``, with each cell's metrics (when on)
+    recorded against its own registry and folded in submission order
+    once the map ends (or stops), whatever order cells completed in.
     """
-    payloads = [(fn_i, dict(kw)) for fn_i, kw in payloads]
     if not _metrics_enabled():
-        return _completions(_invoke_kwargs, payloads, jobs, progress,
-                            on_result, should_abort)
-    # Cells complete in any order; their registries fold in submission
-    # order once the map ends (or stops), like parallel_map's.
+        return _completions(call, items, jobs, progress, on_result,
+                            should_abort, tick)
     registries: Dict[int, Any] = {}
 
     def on_pair(index: int, pair: Tuple[Any, Any]) -> None:
@@ -351,8 +301,8 @@ def map_payloads_completions(
 
     try:
         pairs = _completions(
-            _scoped_call, [(_invoke_kwargs, payload) for payload in payloads],
-            jobs, progress, on_pair, should_abort)
+            _scoped_call, [(call, item) for item in items],
+            jobs, progress, on_pair, should_abort, tick)
     finally:
         from repro.obs.telemetry import fold_cell_metrics
 
@@ -368,6 +318,7 @@ def _completions(
     progress: Optional[bool],
     on_result: Optional[Callable[[int, Any], None]],
     should_abort: Optional[Callable[[], bool]],
+    tick: Optional[Callable[[int], None]],
 ) -> List[Any]:
     jobs = resolve_jobs(jobs)
     show = _progress_enabled(progress) and len(payloads) > 1
@@ -391,39 +342,38 @@ def _completions(
                         completed)
                 finish_one(index, call(payload))
                 completed += 1
-                _chaos_tick(completed)
+                if tick is not None:
+                    tick(completed)
         finally:
             if meter is not None:
                 meter.finish()
         return results
 
-    workers = min(jobs, len(payloads))
+    pool = None
     try:
-        pool = ProcessPoolExecutor(max_workers=workers)
-        probe = pool.submit(call, payloads[0])
-        first = probe.result()
-    except (OSError, PermissionError):
+        pool = ProcessPoolExecutor(max_workers=min(jobs, len(payloads)))
+        future_index = {pool.submit(call, payload): index
+                        for index, payload in enumerate(payloads)}
+    except OSError:
         # Sandboxes without fork/semaphore support degrade to serial —
-        # same results, same journal, just slower.
-        if meter is not None:
-            meter.finish()
+        # same results, same journal, just slower.  Nothing has been
+        # reported yet, so the serial pass starts from scratch.
+        if pool is not None:
+            pool.shutdown(wait=False, cancel_futures=True)
         return _completions(call, payloads, 1, progress, on_result,
-                            should_abort)
+                            should_abort, tick)
     try:
-        finish_one(0, first)
-        completed += 1
-        _chaos_tick(completed)
-        future_index = {
-            pool.submit(call, payload): index
-            for index, payload in enumerate(payloads[1:], start=1)
-        }
         for future in as_completed(future_index):
-            finish_one(future_index[future], future.result())
-            completed += 1
+            # Checked before reporting, as the serial loop does: once an
+            # abort is requested, no further cell is reported, so an
+            # interrupt after N cells journals exactly N for any jobs.
             if should_abort is not None and should_abort():
                 raise SweepInterrupted(
                     f"sweep interrupted after {completed} cells", completed)
-            _chaos_tick(completed)
+            finish_one(future_index[future], future.result())
+            completed += 1
+            if tick is not None:
+                tick(completed)
     except BaseException:
         pool.shutdown(wait=False, cancel_futures=True)
         raise

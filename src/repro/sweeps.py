@@ -11,9 +11,7 @@ executed for their result digests.  This module binds a sweep to a
   an error, never a silent mixture of two sweeps;
 * ``journal.ndjson`` — the write-ahead log
   (:mod:`repro.obs.journal`): each completed cell's content key and
-  result digest, appended in completion order by the runner (and, for
-  service-backed sweeps, by the submit client as result frames
-  stream in);
+  result digest, appended in completion order by the runner;
 * the usual manifest/cellcache artifacts when enabled.
 
 ``resume`` replays the journal and serves journaled cells from it —
@@ -25,7 +23,7 @@ are indistinguishable from a run that never died, for any ``--jobs``.
 
 Cells whose params do not survive manifest sanitization have no
 content key; they cannot be journaled and always recompute — the same
-rule the cell cache and the service dedupe already apply.
+rule the cell cache already applies.
 """
 
 from __future__ import annotations

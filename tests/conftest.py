@@ -28,7 +28,7 @@ def _repro_env_hygiene():
     environment so pool workers inherit it — fine for a real CLI
     process, but an in-process ``main([...])`` call would otherwise
     leak ``REPRO_MANIFEST_DIR``/``REPRO_CELL_CACHE_DIR`` into later
-    tests, which then silently serve cells from a stale cache instead
+    tests, which then silently read cells from a stale cache instead
     of exercising the code under test."""
     saved = {k: v for k, v in os.environ.items() if k.startswith("REPRO_")}
     yield

@@ -59,9 +59,9 @@ FEATURE_VARIANT_NAMES = [
 feature_variant_names = st.sampled_from(FEATURE_VARIANT_NAMES)
 
 # ----------------------------------------------------------------------
-# Cell-parameter strategies for the dedupe layer's digest properties
-# (tests/test_digest_properties.py): the service keys cells by the
-# sha256 of their sanitized params, so "same cell" spellings — any dict
+# Cell-parameter strategies for the cell-key digest properties
+# (tests/test_digest_properties.py): the cell cache and the sweep
+# journal key cells by the sha256 of their sanitized params, so "same cell" spellings — any dict
 # key order, equivalent float spellings, defaulted vs explicit — must
 # collide and different values must not.
 # ----------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Regression tests for CellCache concurrent-writer/pruner races.
 
-The cache is shared by pool workers and by the experiment service, so
-two processes routinely race on the same key (same pure cell computed
+The cache is shared by pool workers and by concurrent sweeps, so two
+processes routinely race on the same key (same pure cell computed
 twice) and a pruner can run while fetches are in flight.  The fixes
 under test:
 

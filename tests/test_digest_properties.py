@@ -1,7 +1,7 @@
 """Property tests for cell-digest stability — the dedupe invariant.
 
-The experiment service dedupes work by ``CellCache.key_for`` over the
-normalized cell (:mod:`repro.experiments.wire`), so "the same cell,
+The cell cache and the sweep journal key work by ``CellCache.key_for``
+over the normalized cell (:mod:`repro.experiments.wire`), so "the same cell,
 spelled differently" MUST collide to one key and distinct cells must
 not.  Hypothesis hunts the spellings humans produce:
 
@@ -138,8 +138,8 @@ class TestNormalizationEquivalence:
     @given(tau=st.floats(min_value=1.0, max_value=100_000.0,
                          allow_nan=False))
     def test_verb_and_canonical_path_key_identically(self, tau):
-        """A cell submitted by registry verb dedupes against the same
-        cell submitted by its canonical ``module:qualname`` path (the
+        """A cell named by registry verb keys identically to the same
+        cell named by its canonical ``module:qualname`` path (the
         identity the ``--jobs`` runner caches under)."""
         by_verb = cell_from_wire({"experiment": "resolution",
                                   "params": {"tau": tau}})

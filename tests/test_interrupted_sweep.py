@@ -71,6 +71,27 @@ def test_chaos_sigterm_interrupts_and_resume_matches_golden(tmp_path):
     assert resumed["sweep_digest"] == golden["sweep_digest"]
 
 
+def test_chaos_sigterm_stops_a_pool_sweep_at_the_ticked_cell(tmp_path):
+    # With a worker pool, more cells finish while the SIGTERM is being
+    # handled; none of them may be reported once the abort is
+    # requested, so the journal holds exactly the ticked cells.
+    chaos = str(tmp_path / "chaos.json")
+    ChaosSpec(events=[FaultEvent(point="runner.tick", kind="sigterm",
+                                 match={"completed": 2})]).save(chaos)
+    run_dir = str(tmp_path / "run")
+    proc = _run_cli([*_sweep_args(run_dir), "--jobs", "2"],
+                    env=_env(REPRO_CHAOS=chaos), check=False)
+    assert proc.returncode == 130, (proc.returncode, proc.stderr)
+    assert "after 2 completed" in proc.stderr
+
+    recovered = replay(journal_path(run_dir))
+    assert len(recovered) == 2 and not recovered.torn
+    resumed = json.loads(_run_cli(
+        ["run", "--run-dir", run_dir, "--resume", "--json"]).stdout)
+    assert resumed["journal_served"] == 2
+    assert resumed["ran"] == 2
+
+
 def test_external_sigterm_leaves_valid_resumable_journal(tmp_path):
     # Slow enough cells (~0.15 s each) that the signal reliably lands
     # mid-sweep; the journal is polled so we fire only after at least

@@ -10,8 +10,11 @@ import os
 
 import pytest
 
+import repro.obs as obs_mod
 from repro.chaos import ChaosAbort, ChaosSpec, FaultEvent, reset_active
 from repro.experiments.wire import cell_from_wire
+from repro.obs.cellcache import CellCache
+from repro.obs.journal import journal_path, replay
 from repro.parallel import derive_seed
 from repro.sweeps import load_spec, run_sweep
 
@@ -79,6 +82,41 @@ def test_chaos_interrupt_then_resume_is_byte_identical(tmp_path, jobs):
     assert [o.digest for o in resumed.outcomes] == \
         [o.digest for o in golden.outcomes]
     assert resumed.digest == golden.digest
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_warm_sweep_is_served_by_the_cell_cache_and_journaled(
+        tmp_path, monkeypatch, jobs):
+    cache_dir = str(tmp_path / "cache")
+    monkeypatch.setenv("REPRO_CELL_CACHE_DIR", cache_dir)
+    monkeypatch.setenv("REPRO_METRICS", "1")
+    monkeypatch.delenv("REPRO_MANIFEST_DIR", raising=False)
+    obs_mod.reset()
+    cold = run_sweep(str(tmp_path / "cold"), _cells(), jobs=jobs)
+    assert cold.ran == N_CELLS
+    assert CellCache(cache_dir).stats()["entries"] == N_CELLS
+
+    # A new run dir: nothing to resume, so every cell goes through the
+    # executor — and every one is a cache hit.
+    obs_mod.reset()
+    warm_dir = str(tmp_path / "warm")
+    warm = run_sweep(warm_dir, _cells(), jobs=jobs)
+    hits = obs_mod.get_obs().metrics.counter("cellcache.hits").value
+    assert [o.digest for o in warm.outcomes] == \
+        [o.digest for o in cold.outcomes]
+    assert warm.digest == cold.digest
+    assert hits == N_CELLS
+
+    # Cache-served cells are journaled like computed ones …
+    journaled = replay(journal_path(warm_dir))
+    assert len(journaled) == N_CELLS
+    for outcome in warm.outcomes:
+        assert journaled.digest_for(outcome.key) == outcome.digest
+
+    # … so a resume of the warm run dir is served from its journal.
+    resumed = run_sweep(warm_dir, resume=True, jobs=jobs)
+    assert resumed.ran == 0 and resumed.journal_served == N_CELLS
+    assert resumed.digest == cold.digest
 
 
 def test_resume_tolerates_a_torn_journal_tail(tmp_path):
