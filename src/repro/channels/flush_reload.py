@@ -24,20 +24,20 @@ class FlushReload:
         self.lines = list(lines)
         self.threshold = threshold if threshold is not None else LATENCY.hit_threshold()
         self.rounds = 0
+        # The monitored lines never change: each sweep is one batch.
+        self._reload = act.TimedLoads(tuple(self.lines))
+        self._flush = act.Flushes(tuple(self.lines))
 
     def measure(self) -> Iterator[act.Action]:
         """One Reload-then-Flush round; returns per-line hit booleans."""
-        hits: List[bool] = []
-        for addr in self.lines:
-            latency = yield act.TimedLoad(addr)
-            hits.append(latency < self.threshold)
-        for addr in self.lines:
-            yield act.Flush(addr)
+        latencies = yield self._reload
+        threshold = self.threshold
+        hits: List[bool] = [latency < threshold for latency in latencies]
+        yield self._flush
         self.rounds += 1
         return hits
 
     def prime_only(self) -> Iterator[act.Action]:
         """Initial flush before the first victim step (no reload)."""
-        for addr in self.lines:
-            yield act.Flush(addr)
+        yield self._flush
         return [False] * len(self.lines)

@@ -63,6 +63,9 @@ class PrimeProbeSet:
         self.threshold = (
             threshold if threshold is not None else prime_probe_threshold()
         )
+        # The set never changes, so each sweep is one batch built once.
+        self._prime = act.Loads(tuple(self.addrs) * 2)
+        self._probe = act.TimedLoads(tuple(self.addrs))
 
     @classmethod
     def for_target(
@@ -84,18 +87,15 @@ class PrimeProbeSet:
 
     def prime(self) -> Iterator[act.Action]:
         """Fill the set (two passes settle LRU the way real attacks do)."""
-        for addr in self.addrs:
-            yield act.Load(addr)
-        for addr in self.addrs:
-            yield act.Load(addr)
+        yield self._prime
         return None
 
     def probe(self) -> Iterator[act.Action]:
         """Timed reload of the whole set; probing re-primes as it goes."""
+        latencies = yield self._probe
         misses = 0
         total = 0.0
-        for addr in self.addrs:
-            latency = yield act.TimedLoad(addr)
+        for latency in latencies:
             total += latency
             if latency > self.threshold:
                 misses += 1

@@ -260,12 +260,50 @@ def _cmd_defense_grid(args: argparse.Namespace) -> None:
 # ----------------------------------------------------------------------
 # Observability verbs
 # ----------------------------------------------------------------------
+#: Small-run parameters per registry verb for the trace/stats verbs
+#: (``--seed`` is added to each; ``resolution`` also reads ``--tau``
+#: and ``--preemptions``).  Every verb in
+#: :data:`repro.obs.manifest.EXPERIMENTS` has an entry.
+SMALL_RUNS = {
+    "resolution": {},
+    "sweep": dict(taus=(700.0, 740.0), preemptions=40),
+    "budget": dict(extra_compute_ns=12_000.0),
+    "aes": dict(n_keys=1, n_traces=1),
+    "sgx": dict(bits=256),
+    "btb": dict(n_pairs=1),
+    "colocation": dict(n_cores=4, attack_rounds=40),
+    "colocation-campaign": dict(n_trials=2, n_cores=4, attack_rounds=40),
+    "mitigations": dict(rounds=20),
+    "defense-grid": dict(workloads=("benign",), defenses=(None, "leash"),
+                         schedulers=("cfs",)),
+    "defense-cell": dict(workload="benign"),
+}
+
+
 def _traceable_params(args: argparse.Namespace) -> dict:
     """Small-run parameters for the trace/stats demonstration verbs."""
+    params = dict(SMALL_RUNS[args.experiment], seed=args.seed)
     if args.experiment == "resolution":
-        return dict(tau=args.tau, preemptions=args.preemptions,
-                    seed=args.seed)
-    return dict(extra_compute_ns=12_000.0, seed=args.seed)  # budget
+        params.update(tau=args.tau, preemptions=args.preemptions)
+    return params
+
+
+def _run_observed(args: argparse.Namespace, jobs: int) -> None:
+    """Run the small ``args.experiment`` for the trace/stats verbs.
+
+    These verbs exist to watch a simulation, so the cell cache is off
+    for the run (a cached cell would simulate nothing); ``jobs`` goes
+    to the experiments that fan out into cells.
+    """
+    import inspect
+
+    from repro.obs.manifest import resolve_experiment
+
+    os.environ.pop("REPRO_CELL_CACHE_DIR", None)
+    takes_jobs = "jobs" in inspect.signature(
+        resolve_experiment(args.experiment)).parameters
+    _run(args, args.experiment, _traceable_params(args),
+         extra_kwargs=dict(jobs=jobs) if takes_jobs else None)
 
 
 def _cmd_trace(args: argparse.Namespace) -> None:
@@ -274,7 +312,8 @@ def _cmd_trace(args: argparse.Namespace) -> None:
     os.environ["REPRO_TRACE"] = "1"
     obs_mod.reset()
     try:
-        _run(args, args.experiment, _traceable_params(args))
+        # Trace events stay in the process that records them: serial.
+        _run_observed(args, jobs=1)
         tracer = obs_mod.get_obs().tracer
         n = tracer.export(args.out)
     finally:
@@ -290,7 +329,7 @@ def _cmd_stats(args: argparse.Namespace) -> None:
     os.environ["REPRO_METRICS"] = "1"
     obs_mod.reset()
     try:
-        _run(args, args.experiment, _traceable_params(args))
+        _run_observed(args, jobs=args.jobs)
         obs = obs_mod.get_obs()
         obs.publish()
         if args.format == "openmetrics":
@@ -772,7 +811,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a small experiment with tracing on and export a "
              "Perfetto-loadable Chrome trace",
     )
-    p.add_argument("experiment", choices=("resolution", "budget"))
+    p.add_argument("experiment", choices=tuple(SMALL_RUNS))
     p.add_argument("--tau", type=float, default=740.0)
     p.add_argument("--preemptions", type=int, default=150,
                    help="small by default: traces grow with run length")
@@ -783,7 +822,7 @@ def build_parser() -> argparse.ArgumentParser:
         "stats", help="run a small experiment with metrics on and print "
                       "the metrics table",
     )
-    p.add_argument("experiment", choices=("resolution", "budget"))
+    p.add_argument("experiment", choices=tuple(SMALL_RUNS))
     p.add_argument("--tau", type=float, default=740.0)
     p.add_argument("--preemptions", type=int, default=300)
     p.add_argument("--format", choices=("table", "openmetrics"),

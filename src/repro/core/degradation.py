@@ -76,13 +76,12 @@ class CodeLineStaller:
         self.eviction_set: List[int] = build_llc_eviction_set(
             llc_geometry, victim_inst_addr, arena_base, extra_ways
         )
-        self._actions = tuple(act.Load(addr) for addr in self.eviction_set)
+        self._loads = act.Loads(tuple(self.eviction_set))
 
     def degrade(self) -> Iterator[act.Action]:
         """Touch every line of the eviction set, filling the LLC set and
         (by inclusion) purging the victim's line from all caches."""
-        for action in self._actions:
-            yield action
+        yield self._loads
 
 
 class CompositeDegrader:

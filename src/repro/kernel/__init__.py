@@ -13,13 +13,16 @@ from repro.kernel.actions import (
     ExecInst,
     Exit,
     Flush,
+    Flushes,
     GetTime,
     Load,
+    Loads,
     Nanosleep,
     Pause,
     SetTimerSlack,
     Store,
     TimedLoad,
+    TimedLoads,
     TimerCreate,
 )
 from repro.kernel.costs import CostModel
@@ -32,13 +35,16 @@ __all__ = [
     "ExecInst",
     "Exit",
     "Flush",
+    "Flushes",
     "GetTime",
     "Load",
+    "Loads",
     "Nanosleep",
     "Pause",
     "SetTimerSlack",
     "Store",
     "TimedLoad",
+    "TimedLoads",
     "TimerCreate",
     "CostModel",
     "Kernel",

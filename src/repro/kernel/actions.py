@@ -8,12 +8,24 @@ kernel executes the action against the machine state, charges its cost
 to the simulated clock, and ``send``s the result back into the
 generator.  This keeps attack code readable top-to-bottom, exactly like
 the C it models, while the simulator stays event-driven underneath.
+
+A channel that sweeps a whole set of lines — a Prime+Probe prime or
+probe, a Flush+Reload reload or flush, an LLC staller — yields one
+:class:`Batch` (:class:`Loads`, :class:`TimedLoads`, :class:`Flushes`)
+over a tuple of addresses it builds once.  A batch behaves exactly
+like yielding the single action once per address, in order: each
+address is charged to the clock on its own, an interrupt may land
+between two addresses but never inside one (the body resumes the batch
+at the next address), one ``timed_load`` jitter is drawn per address,
+and the body counts one executed action per address.  When the last
+address has run, the list of per-address results is sent back into the
+generator in one go.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Optional, Tuple
 
 from repro.cpu.isa import Instruction
 
@@ -59,6 +71,31 @@ class Flush(Action):
     """clflush: evict the line from the whole hierarchy (no result)."""
 
     addr: int
+
+
+@dataclass
+class Batch(Action):
+    """Base class of the per-address batches below."""
+
+    addrs: Tuple[int, ...]
+
+
+@dataclass
+class Loads(Batch):
+    """:class:`Load` of each address in turn; result is the list of
+    latencies in cycles."""
+
+
+@dataclass
+class TimedLoads(Batch):
+    """:class:`TimedLoad` of each address in turn; result is the list
+    of measured latencies in cycles."""
+
+
+@dataclass
+class Flushes(Batch):
+    """:class:`Flush` of each address in turn; result is a list of
+    ``None``, one per address."""
 
 
 @dataclass

@@ -16,8 +16,9 @@ simulator.  A dispatch at time ``t``:
    where the body stopped.
 
 Interrupts are taken at instruction boundaries: a body may overshoot
-its horizon by the one action/instruction in flight, exactly the
-behaviour that makes performance-degradation single-stepping work.
+its horizon by the one action/instruction in flight (one address of a
+batch action), exactly the behaviour that makes performance-degradation
+single-stepping work.
 
 Timer-interrupt wakeups follow the CFS quirk the paper highlights: a
 successful Eq 2.2 check switches to *the waking thread*, not to a
@@ -59,6 +60,7 @@ from repro.uarch.timing import cycles_to_ns
 from repro.victims.layout import ATTACKER_HUGE_REGION
 
 _EPS = 1e-6
+_INF = float("inf")
 
 #: Default timer slack granted to every thread (Linux: 50 µs).
 DEFAULT_TIMER_SLACK_NS = 50_000.0
@@ -140,12 +142,6 @@ class _KernelExecContext(ExecContext):
         self.core = kernel.machine.core(cpu)
         self.asid = task.pid
 
-    @staticmethod
-    def _is_huge(addr: int) -> bool:
-        """Userspace attack buffers in the LLC arena use 2 MiB pages."""
-        lo, hi = ATTACKER_HUGE_REGION
-        return lo <= addr < hi
-
     def draw_spec_window(self) -> int:
         window = self.kernel.machine.config.spec_window
         if window <= 0:
@@ -167,24 +163,14 @@ class _KernelExecContext(ExecContext):
         return action.ns, None, None
 
     def _act_load(self, action, now):
-        cycles = self.core.tlbs.translate_data(
-            self.cpu, self.asid, action.addr, huge=self._is_huge(action.addr)
-        )
-        cycles += self.core.hierarchy.access(self.cpu, action.addr, "data")
-        lat = self.kernel.machine.config.latency
-        return cycles_to_ns(cycles + lat.base_inst), cycles, None
+        results = []
+        cost, _ = self._loads((action.addr,), 0, 0.0, _INF, results)
+        return cost, results[0], None
 
     def _act_timed_load(self, action, now):
-        k = self.kernel
-        lat = k.machine.config.latency
-        cycles = self.core.tlbs.translate_data(
-            self.cpu, self.asid, action.addr, huge=self._is_huge(action.addr)
-        )
-        cycles += self.core.hierarchy.access(self.cpu, action.addr, "data")
-        cost = cycles + 2 * lat.rdtscp + lat.base_inst
-        jitter = k.rng.gauss("timed_load", 0.0, k.config.timed_load_jitter_cycles)
-        measured = max(0.0, cycles + jitter)
-        return cycles_to_ns(cost), measured, None
+        results = []
+        cost, _ = self._timed_loads((action.addr,), 0, 0.0, _INF, results)
+        return cost, results[0], None
 
     def _act_store(self, action, now):
         self.core.tlbs.translate_data(self.cpu, self.asid, action.addr)
@@ -193,9 +179,8 @@ class _KernelExecContext(ExecContext):
         return cycles_to_ns(lat.base_inst), None, None
 
     def _act_flush(self, action, now):
-        self.core.hierarchy.clflush(action.addr)
-        lat = self.kernel.machine.config.latency
-        return cycles_to_ns(lat.clflush), None, None
+        cost, _ = self._flushes((action.addr,), 0, 0.0, _INF, [])
+        return cost, None, None
 
     def _act_exec_inst(self, action, now):
         cost = self.core.execute(self.asid, action.inst)
@@ -238,6 +223,79 @@ class _KernelExecContext(ExecContext):
     def _act_exit(self, action, now):
         return 0.0, None, BlockRequest("exit")
 
+    # ------------------------------------------------------------------
+    # Per-address sweeps (:class:`repro.kernel.actions.Batch`).  Each
+    # runner executes ``addrs[i:]`` while ``t < deadline``, adding every
+    # address's cost to ``t`` on its own and appending its result, and
+    # returns ``(t, i)`` with ``i`` the first address not run — so a
+    # batch is bit-identical to one action per address and an interrupt
+    # lands between two addresses, never inside one.  The single-address
+    # handlers above run the same loop over a one-tuple from ``t = 0.0``
+    # (``0.0 + cost == cost`` exactly).
+    # ------------------------------------------------------------------
+    def run_batch(self, batch, i: int, t: float, deadline: float,
+                  results: list):
+        return _BATCH_DISPATCH[type(batch)](self, batch.addrs, i, t,
+                                            deadline, results)
+
+    def _loads(self, addrs, i, t, deadline, results):
+        cpu, asid = self.cpu, self.asid
+        translate = self.core.tlbs.translate_data
+        access = self.core.hierarchy.access
+        base = self.kernel.machine.config.latency.base_inst
+        # Userspace attack buffers in the LLC arena use 2 MiB pages.
+        lo, hi = ATTACKER_HUGE_REGION
+        append = results.append
+        n = len(addrs)
+        while i < n and t < deadline:
+            addr = addrs[i]
+            cycles = translate(cpu, asid, addr, huge=lo <= addr < hi)
+            cycles += access(cpu, addr, "data")
+            t += cycles_to_ns(cycles + base)
+            append(cycles)
+            i += 1
+        return t, i
+
+    def _timed_loads(self, addrs, i, t, deadline, results):
+        k = self.kernel
+        cpu, asid = self.cpu, self.asid
+        translate = self.core.tlbs.translate_data
+        access = self.core.hierarchy.access
+        lat = k.machine.config.latency
+        fences = 2 * lat.rdtscp
+        base = lat.base_inst
+        gauss = k.rng.stream("timed_load").gauss
+        sigma = k.config.timed_load_jitter_cycles
+        lo, hi = ATTACKER_HUGE_REGION
+        append = results.append
+        n = len(addrs)
+        while i < n and t < deadline:
+            addr = addrs[i]
+            cycles = translate(cpu, asid, addr, huge=lo <= addr < hi)
+            cycles += access(cpu, addr, "data")
+            t += cycles_to_ns(cycles + fences + base)
+            append(max(0.0, cycles + gauss(0.0, sigma)))
+            i += 1
+        return t, i
+
+    def _flushes(self, addrs, i, t, deadline, results):
+        clflush = self.core.hierarchy.clflush
+        cost = cycles_to_ns(self.kernel.machine.config.latency.clflush)
+        append = results.append
+        n = len(addrs)
+        while i < n and t < deadline:
+            clflush(addrs[i])
+            t += cost
+            append(None)
+            i += 1
+        return t, i
+
+
+_BATCH_DISPATCH = {
+    act.Loads: _KernelExecContext._loads,
+    act.TimedLoads: _KernelExecContext._timed_loads,
+    act.Flushes: _KernelExecContext._flushes,
+}
 
 _DISPATCH = {
     act.Compute: _KernelExecContext._act_compute,

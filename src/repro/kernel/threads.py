@@ -4,7 +4,9 @@ Three flavours cover everyone in the paper's experiments:
 
 * :class:`CoroutineBody` — generator-driven userspace code (the
   attacker, noise threads).  Yields :mod:`repro.kernel.actions` actions;
-  the kernel executes them and sends results back in.
+  the kernel executes them and sends results back in.  A
+  :class:`~repro.kernel.actions.Batch` runs address by address across
+  as many windows as it needs.
 * :class:`ProgramBody` — a victim replaying an instruction trace
   through the core's microarchitecture (AES, base64, GCD, the
   straight-line resolution victim).
@@ -20,7 +22,7 @@ from typing import Any, Generator, Optional
 
 from repro.cpu.core import Core
 from repro.cpu.program import Program
-from repro.kernel.actions import Action
+from repro.kernel.actions import Action, Batch
 
 
 @dataclass
@@ -36,9 +38,9 @@ class RunOutcome:
     """Result of running a body for one window.
 
     ``end`` is when the body stopped consuming CPU (may overshoot the
-    window's deadline by at most one action/instruction — the interrupt
-    boundary rule).  ``block`` is set when the body invoked a blocking
-    syscall; ``exited`` when it terminated.
+    window's deadline by at most one action/instruction, or one address
+    of a batch — the interrupt boundary rule).  ``block`` is set when
+    the body invoked a blocking syscall; ``exited`` when it terminated.
     """
 
     end: float
@@ -77,39 +79,72 @@ class ExecContext:
         """
         raise NotImplementedError
 
+    def run_batch(self, batch: Batch, i: int, t: float, deadline: float,
+                  results: list):
+        """Run ``batch.addrs[i:]`` from time ``t`` while ``t < deadline``,
+        appending one result per address run.
+
+        Returns ``(t, i)``: the time after the last address run and the
+        index of the first one not run.
+        """
+        raise NotImplementedError
+
     def draw_spec_window(self) -> int:
         """Random speculative-lookahead depth for this preemption."""
         raise NotImplementedError
 
 
 class CoroutineBody(ThreadBody):
-    """Generator-driven userspace code."""
+    """Generator-driven userspace code.
+
+    A yielded :class:`~repro.kernel.actions.Batch` is kept with a cursor
+    into its addresses, so a window that closes part-way through resumes
+    at the next address; its list of results is sent back once the last
+    address has run.  ``actions_executed`` counts each address.
+    """
 
     def __init__(self, gen: Generator[Action, Any, None]):
         self.gen = gen
         self._send: Any = None
         self._started = False
+        self._batch: Optional[Batch] = None
+        self._cursor = 0
+        self._results: list = []
         self.actions_executed = 0
 
     def run(self, ctx: ExecContext, start: float, deadline: float) -> RunOutcome:
         t = start
         while t < deadline:
-            try:
-                if not self._started:
-                    self._started = True
-                    action = next(self.gen)
-                else:
-                    action = self.gen.send(self._send)
-            except StopIteration:
-                return RunOutcome(t, exited=True)
-            cost, result, block = ctx.exec_action(action, t)
-            t += cost
-            self._send = result
-            self.actions_executed += 1
-            if block is not None:
-                if block.kind == "exit":
+            batch = self._batch
+            if batch is None:
+                try:
+                    if not self._started:
+                        self._started = True
+                        action = next(self.gen)
+                    else:
+                        action = self.gen.send(self._send)
+                except StopIteration:
                     return RunOutcome(t, exited=True)
-                return RunOutcome(t, block=block)
+                if not isinstance(action, Batch):
+                    cost, result, block = ctx.exec_action(action, t)
+                    t += cost
+                    self._send = result
+                    self.actions_executed += 1
+                    if block is not None:
+                        if block.kind == "exit":
+                            return RunOutcome(t, exited=True)
+                        return RunOutcome(t, block=block)
+                    continue
+                batch = self._batch = action
+                self._cursor = 0
+                self._results = []
+            t, cursor = ctx.run_batch(batch, self._cursor, t, deadline,
+                                      self._results)
+            self.actions_executed += cursor - self._cursor
+            self._cursor = cursor
+            if cursor == len(batch.addrs):
+                self._send = self._results
+                self._batch = None
         return RunOutcome(t)
 
 

@@ -400,8 +400,66 @@ class MemoryHierarchy:
         ``kind`` is ``"data"`` or ``"inst"`` and selects the L1 slice.
         ``count_stats=False`` performs all fills and LRU updates but
         skips the hit/miss counters (prefetches, see :meth:`prefetch`).
+        The array backend and ``count_stats=False`` take the generic
+        level-by-level walk; dict-backend demand accesses take an
+        inlined copy of it.
         """
         l1 = self.l1d[core] if kind == "data" else self.l1i[core]
+        if count_stats and l1.__class__ is CacheLevel:
+            # Dict backend, demand access: every level's lookup and fill
+            # inlined into one walk (the per-address cost of every probe
+            # sweep and victim fetch).  Same operations in the same
+            # order as the generic walk below — counters, recency,
+            # evictions and version bumps are bit-equal.  A fill here
+            # always inserts: the line has just missed at that level.
+            line = addr & _LINE_MASK
+            bucket = l1._sets[(line // l1._line_size) & l1._set_mask]
+            if line in bucket:
+                l1.hits += 1
+                del bucket[line]
+                bucket[line] = None
+                return self._l1_hit
+            l1.misses += 1
+            l2 = self.l2[core]
+            l2_bucket = l2._sets[(line // l2._line_size) & l2._set_mask]
+            if line in l2_bucket:
+                l2.hits += 1
+                del l2_bucket[line]
+                l2_bucket[line] = None
+                latency = self._l2_hit
+            else:
+                l2.misses += 1
+                llc = self.llc
+                llc_bucket = llc._sets[(line // llc._line_size)
+                                       & llc._set_mask]
+                if line in llc_bucket:
+                    llc.hits += 1
+                    del llc_bucket[line]
+                    llc_bucket[line] = None
+                    latency = self._llc_hit
+                else:
+                    llc.misses += 1
+                    victim = None
+                    if len(llc_bucket) >= llc._n_ways:
+                        victim = next(iter(llc_bucket))
+                        del llc_bucket[victim]
+                        llc.evictions += 1
+                        llc.version += 1
+                    llc_bucket[line] = None
+                    if victim is not None:
+                        self._back_invalidate(victim)
+                    latency = self._dram
+                if len(l2_bucket) >= l2._n_ways:
+                    del l2_bucket[next(iter(l2_bucket))]
+                    l2.evictions += 1
+                    l2.version += 1
+                l2_bucket[line] = None
+            if len(bucket) >= l1._n_ways:
+                del bucket[next(iter(bucket))]
+                l1.evictions += 1
+                l1.version += 1
+            bucket[line] = None
+            return latency
         if l1.lookup(addr, count_stats=count_stats):
             return self._l1_hit
         if self.l2[core].lookup(addr, count_stats=count_stats):

@@ -49,6 +49,8 @@ class RefLevel:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
+        #: Lines that have left the level (evicted or invalidated).
+        self.version = 0
 
     def _line(self, addr: int) -> int:
         return addr - (addr % self.line_size)
@@ -82,6 +84,7 @@ class RefLevel:
         if len(bucket) >= self.n_ways:
             victim = bucket.pop(0)
             self.evictions += 1
+            self.version += 1
         bucket.append(line)
         return victim
 
@@ -90,6 +93,7 @@ class RefLevel:
         bucket = self._bucket(addr)
         if line in bucket:
             bucket.remove(line)
+            self.version += 1
 
 
 class RefHierarchy:

@@ -184,3 +184,81 @@ class TestMemoryHierarchy:
         h.flush_core_private(0)
         assert not h.l1d[0].contains(0x7000)
         assert h.llc.contains(0x7000)
+
+
+class TestInlinedWalkMatchesReference:
+    """``MemoryHierarchy.access`` inlines the dict backend's L1 → L2 →
+    LLC walk; the brute-force list model in ``repro.validate.uarch``
+    must agree with it on every level after every operation."""
+
+    # Tiny levels so a handful of lines exercise every path: L1 set =
+    # line % 4, L2 set = line % 8, LLC set = line % 16 (line = addr // 64).
+    GEOMETRY = HierarchyGeometry(
+        l1i=CacheGeometry(4, 2), l1d=CacheGeometry(4, 2),
+        l2=CacheGeometry(8, 2), llc=CacheGeometry(16, 4))
+
+    def _pair(self):
+        from repro.validate.uarch import RefHierarchy
+
+        real = MemoryHierarchy(2, self.GEOMETRY)
+        assert all(level.__class__ is CacheLevel
+                   for level in (real.llc, *real.l1i, *real.l1d, *real.l2))
+        return real, RefHierarchy(2, self.GEOMETRY, LATENCY)
+
+    @staticmethod
+    def _levels(hierarchy):
+        return [hierarchy.llc, *hierarchy.l1i, *hierarchy.l1d, *hierarchy.l2]
+
+    def _assert_same(self, real, ref, step):
+        for got, want in zip(self._levels(real), self._levels(ref)):
+            for index, lines in enumerate(want.sets):
+                assert got.resident_lines(index) == tuple(lines), (step, got.name)
+            assert (got.hits, got.misses, got.evictions, got.version) == (
+                want.hits, want.misses, want.evictions, want.version), (
+                step, got.name)
+
+    def _drive(self, ops):
+        real, ref = self._pair()
+        latencies = []
+        for step, (core, line, kind, count_stats) in enumerate(ops):
+            addr = line * 64
+            got = real.access(core, addr, kind, count_stats=count_stats)
+            want = ref.access(core, addr, kind, count_stats=count_stats)
+            assert got == want, step
+            latencies.append(got)
+            self._assert_same(real, ref, step)
+        return real, latencies
+
+    def test_every_path_of_the_walk(self):
+        ops = [
+            (1, 0, "data", True),    # core 1: DRAM fill of line 0
+            (0, 0, "data", True),    # core 0: LLC hit
+            (0, 0, "data", True),    # L1 hit
+            (0, 4, "data", True),    # L1 set 0 fills up ...
+            (0, 12, "data", True),   # ... and evicts line 0 from L1 only
+            (0, 0, "data", True),    # L2 hit
+            (0, 8, "data", True),    # L2 set 0 fills up ...
+            (0, 16, "data", True),   # ... and evicts line 0 from L2
+            (0, 0, "data", True),    # LLC hit
+            (0, 32, "data", True),   # LLC set 0: {0, 16, 32, 48}
+            (0, 48, "data", True),
+            (1, 16, "inst", True),   # core 1 fetches line 16: LLC hit
+            (0, 64, "data", True),   # LLC evicts line 0 (LRU) and
+                                     # back-invalidates core 1's copy
+            (1, 0, "data", True),    # so core 1 goes to DRAM again
+            (0, 80, "data", False),  # prefetch-style fill: no counters
+            (0, 80, "data", False),  # ... and a prefetch-style hit
+            (1, 16, "inst", True),
+        ]
+        real, latencies = self._drive(ops)
+        assert set(latencies) == {LATENCY.l1_hit, LATENCY.l2_hit,
+                                  LATENCY.llc_hit, LATENCY.dram}
+        assert latencies[13] == LATENCY.dram
+        assert real.llc.evictions >= 1 and real.l1d[1].version >= 1
+
+    @given(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 47),
+                              st.sampled_from(["data", "inst"]),
+                              st.booleans()), max_size=80))
+    @settings(max_examples=60, deadline=None)
+    def test_random_sequences(self, ops):
+        self._drive(ops)

@@ -29,11 +29,23 @@ class Driver:
     def hierarchy(self):
         return self.machine.hierarchy
 
+    #: Batch action → the single action it stands for, per address.
+    SINGLE = {act.Loads: act.Load, act.TimedLoads: act.TimedLoad,
+              act.Flushes: act.Flush}
+
     def run(self, gen):
         action = next(gen)
         try:
             while True:
-                action = gen.send(self._exec(action))
+                single = self.SINGLE.get(type(action))
+                if single is None:
+                    result = self._exec(action)
+                else:
+                    # One address at a time, in order; the list of
+                    # results goes back in one send.
+                    result = [self._exec(single(addr))
+                              for addr in action.addrs]
+                action = gen.send(result)
         except StopIteration as stop:
             return stop.value
 

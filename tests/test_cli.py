@@ -89,6 +89,29 @@ class TestCommands:
         assert "kernel.switches" in out
         assert "attack.samples" in out
 
+    def test_stats_and_trace_accept_every_registry_verb(self):
+        from repro.cli import SMALL_RUNS
+        from repro.obs.manifest import EXPERIMENTS
+
+        assert set(SMALL_RUNS) == set(EXPERIMENTS)
+        for verb in EXPERIMENTS:
+            for command in ("stats", "trace"):
+                assert build_parser().parse_args(
+                    [command, verb]).experiment == verb
+
+    @pytest.mark.parametrize("verb", ["aes", "sgx", "btb"])
+    def test_stats_runs_the_attacks(self, verb, capsys):
+        assert main(["--no-manifest", "stats", verb]) == 0
+        assert "uarch.l1d.hits" in capsys.readouterr().out
+
+    def test_stats_never_serves_a_cached_cell(self, tmp_path, capsys):
+        argv = ["--manifest-dir", str(tmp_path), "stats", "budget"]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        assert main(argv) == 0
+        assert capsys.readouterr().out == first
+        assert "uarch.l1d.hits" in first
+
     def test_metrics_flag_prints_table(self, capsys):
         assert main(["--no-manifest", "--metrics", "budget",
                      "--extra", "40000"]) == 0

@@ -86,7 +86,9 @@ class TestCodeLineStaller:
         one = CodeLineStaller(llc, 0x400000, ATTACKER_LLC_ARENA)
         two = CodeLineStaller(llc, 0x400040, ATTACKER_LLC_ARENA + 0x10_0000)
         actions = list(CompositeDegrader(one, two).degrade())
-        assert len(actions) == len(one.eviction_set) + len(two.eviction_set)
+        addrs = [addr for action in actions for addr in action.addrs]
+        assert len(addrs) == len(one.eviction_set) + len(two.eviction_set)
+        assert addrs == one.eviction_set + two.eviction_set
 
 
 class TestZeroStepFilter:
