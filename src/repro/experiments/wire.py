@@ -42,6 +42,7 @@ bytes as hex), so anything a manifest can replay, the wire can carry.
 
 from __future__ import annotations
 
+import functools
 import inspect
 import itertools
 from dataclasses import dataclass, field
@@ -102,6 +103,26 @@ def _wants_float(parameter: inspect.Parameter) -> bool:
     return annotation is float or annotation == "float"
 
 
+@functools.lru_cache(maxsize=None)
+def _signature(fn: Callable[..., Any]) -> Tuple[
+        Dict[str, Tuple[Any, bool]], bool]:
+    """``fn``'s keyword parameters as ``{name: (default, wants float)}``
+    and whether it takes ``**kwargs``, read once per function:
+    ``inspect.signature`` costs more than the rest of a normalization."""
+    try:
+        sig = inspect.signature(fn)
+    except (TypeError, ValueError) as exc:  # builtins without signatures
+        raise WireError(f"cannot introspect {fn!r}: {exc}") from exc
+    accepted = {}
+    var_kwargs = False
+    for pname, parameter in sig.parameters.items():
+        if parameter.kind is inspect.Parameter.VAR_KEYWORD:
+            var_kwargs = True
+        elif parameter.kind is not inspect.Parameter.VAR_POSITIONAL:
+            accepted[pname] = (parameter.default, _wants_float(parameter))
+    return accepted, var_kwargs
+
+
 def normalize_params(fn: Callable[..., Any],
                      params: Mapping[str, Any]) -> Dict[str, Any]:
     """Fill signature defaults and coerce int→float against the
@@ -111,35 +132,23 @@ def normalize_params(fn: Callable[..., Any],
     parameters so a bad request can never be keyed (and cached) as if
     it were a real cell.
     """
-    try:
-        sig = inspect.signature(fn)
-    except (TypeError, ValueError) as exc:  # builtins without signatures
-        raise WireError(f"cannot introspect {fn!r}: {exc}") from exc
-    accepted = {}
-    has_var_kwargs = False
-    for pname, parameter in sig.parameters.items():
-        if parameter.kind is inspect.Parameter.VAR_KEYWORD:
-            has_var_kwargs = True
-            continue
-        if parameter.kind is inspect.Parameter.VAR_POSITIONAL:
-            continue
-        accepted[pname] = parameter
-    unknown = sorted(set(params) - set(accepted))
-    if unknown and not has_var_kwargs:
+    accepted, var_kwargs = _signature(fn)
+    unknown = sorted(set(params) - accepted.keys())
+    if unknown and not var_kwargs:
         raise WireError(
             f"unknown parameter(s) {unknown} for {fn.__module__}:"
             f"{fn.__qualname__}; accepted: {sorted(accepted)}"
         )
     canonicalizers = getattr(fn, "__wire_canonical__", None) or {}
     normalized: Dict[str, Any] = {}
-    for pname, parameter in accepted.items():
+    for pname, (default, wants_float) in accepted.items():
         if pname in params:
             value = params[pname]
-            if (_wants_float(parameter) and isinstance(value, int)
+            if (wants_float and isinstance(value, int)
                     and not isinstance(value, bool)):
                 value = float(value)
-        elif parameter.default is not inspect.Parameter.empty:
-            value = parameter.default
+        elif default is not inspect.Parameter.empty:
+            value = default
         else:
             raise WireError(
                 f"missing required parameter {pname!r} for "
@@ -156,7 +165,7 @@ def normalize_params(fn: Callable[..., Any],
                     f"{fn.__module__}:{fn.__qualname__}: {exc}"
                 ) from exc
         normalized[pname] = value
-    for pname in set(params) - set(accepted):  # **kwargs passthrough
+    for pname in unknown:  # **kwargs passthrough
         normalized[pname] = params[pname]
     return normalized
 

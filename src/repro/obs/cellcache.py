@@ -169,7 +169,11 @@ class CellCache:
         """Content key for one cell, or None when ``params`` contain a
         value that does not survive manifest sanitization (those cells
         are not replayable, so they must not be cache-served)."""
-        key = cell_key(experiment, params)
+        return self.accept_key(cell_key(experiment, params))
+
+    def accept_key(self, key: Optional[str]) -> Optional[str]:
+        """``key`` as computed by :func:`cell_key`, counted as skipped
+        when it is None (a cell that must not be cache-served)."""
         if key is None:
             self._count("skipped")
         return key

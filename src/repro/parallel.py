@@ -175,7 +175,11 @@ def _scoped_call(call: Tuple[Callable[[Any], Any], Any]) -> Tuple[Any, Any]:
 
 
 def _invoke_kwargs(payload: Any) -> Any:
-    fn, kwargs = payload
+    """Run one ``(fn, kwargs)`` cell.  A caller that already holds the
+    cell's content key (:func:`repro.obs.cellcache.cell_key`, None for
+    a cell that has none) passes ``(fn, kwargs, key)`` instead, so the
+    cache lookup does not compute it again."""
+    fn, kwargs, *known = payload
     cache = key = None
     if os.environ.get("REPRO_CELL_CACHE_DIR", "").strip():
         # Content-addressed cell cache (repro.obs.cellcache): cells are
@@ -188,7 +192,8 @@ def _invoke_kwargs(payload: Any) -> Any:
 
         cache = cell_cache()
         if cache is not None:
-            key = cache.key_for(f"{fn.__module__}:{fn.__qualname__}", kwargs)
+            key = (cache.accept_key(known[0]) if known else cache.key_for(
+                f"{fn.__module__}:{fn.__qualname__}", kwargs))
             if key is not None:
                 hit, result = cache.fetch(key)
                 if hit:
@@ -251,10 +256,12 @@ def map_payloads_completions(
     on_result: Optional[Callable[[int, Any], None]] = None,
     should_abort: Optional[Callable[[], bool]] = None,
 ) -> List[Any]:
-    """Run explicit ``(fn, kwargs)`` payloads, reporting cells in
-    completion order — the form journaled sweeps need, where each cell
-    names its own callable (cache/manifest identity stays the cell's
-    own ``module:qualname``, never a shared dispatcher's).
+    """Run explicit ``(fn, kwargs)`` or ``(fn, kwargs, key)`` payloads
+    (``key``: the cell's content key, when the caller already has it),
+    reporting cells in completion order — the form journaled sweeps
+    need, where each cell names its own callable (cache/manifest
+    identity stays the cell's own ``module:qualname``, never a shared
+    dispatcher's).
 
     ``on_result(index, result)`` fires as each cell *finishes* —
     whatever order the pool finishes them in — which is exactly what a
@@ -269,7 +276,7 @@ def map_payloads_completions(
     active chaos schedule's ``runner.tick`` point is consulted at the
     same cadence.
     """
-    payloads = [(fn_i, dict(kw)) for fn_i, kw in payloads]
+    payloads = [(fn_i, dict(kw), *key) for fn_i, kw, *key in payloads]
     return _execute(_invoke_kwargs, payloads, jobs, progress,
                     on_result, should_abort, tick=_chaos_tick)
 

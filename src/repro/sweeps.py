@@ -6,9 +6,10 @@ executed for their result digests.  This module binds a sweep to a
 **run directory** so that progress is durable:
 
 * ``sweep.json`` — the sweep spec: the full cell list in wire encoding,
-  saved before the first cell runs.  Its digest pins what the journal
-  belongs to, so ``--resume`` of a run dir with a *different* grid is
-  an error, never a silent mixture of two sweeps;
+  saved (atomically: temp file, then ``os.replace``) before the first
+  cell runs.  Its digest pins what the journal belongs to, so
+  ``--resume`` of a run dir with a *different* grid is an error, never
+  a silent mixture of two sweeps;
 * ``journal.ndjson`` — the write-ahead log
   (:mod:`repro.obs.journal`): each completed cell's content key and
   result digest, appended in completion order by the runner;
@@ -21,13 +22,17 @@ byte-identical to the digest an uninterrupted run would have produced,
 so the resumed sweep's final digests (and the combined sweep digest)
 are indistinguishable from a run that never died, for any ``--jobs``.
 
-Cells whose params do not survive manifest sanitization have no
-content key; they cannot be journaled and always recompute — the same
-rule the cell cache already applies.
+Each invocation builds the spec's wire dict and its digest once, and
+each cell's content key once: the key that finds a cell in the journal
+is handed to the executor as the cell's cache key too.  Cells whose
+params do not survive manifest sanitization have no content key; they
+cannot be journaled and always recompute — the same rule the cell
+cache already applies.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -81,24 +86,50 @@ class SweepSpec:
 
     def digest(self) -> str:
         """Content digest of the spec (pins journal ↔ sweep binding)."""
-        material = json.dumps(self.to_dict(), sort_keys=True,
-                              separators=(",", ":"))
-        return hashlib.sha256(material.encode()).hexdigest()
+        return _wire_digest(self.to_dict())
 
     # ------------------------------------------------------------------
     def save(self, run_dir: str) -> str:
-        os.makedirs(run_dir, exist_ok=True)
-        path = os.path.join(run_dir, SWEEP_SPEC_NAME)
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
+        return _write_spec(run_dir, self.to_dict())
+
+
+def _wire_digest(wire: Dict[str, Any]) -> str:
+    """The spec digest of a spec's wire dict (:meth:`SweepSpec.to_dict`)."""
+    material = json.dumps(wire, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(material.encode()).hexdigest()
+
+
+def _write_spec(run_dir: str, wire: Dict[str, Any]) -> str:
+    """Write ``sweep.json`` from a spec's wire dict, atomically: a kill
+    mid-save leaves the previous file (or none), never a torn one."""
+    os.makedirs(run_dir, exist_ok=True)
+    path = os.path.join(run_dir, SWEEP_SPEC_NAME)
+    # A unique name opened with "x" (not mkstemp, which makes the file
+    # 0600): the spec keeps the permissions a plain open gives it.
+    tmp = os.path.join(
+        run_dir, f".sweep-{os.getpid()}-{os.urandom(4).hex()}.tmp")
+    try:
+        with open(tmp, "x") as fh:
+            # Streamed: json.dumps takes as long with indent=2 and holds
+            # every chunk of a large grid in memory at once.
+            json.dump(wire, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        return path
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+    return path
 
 
 def load_spec(run_dir: str) -> SweepSpec:
     path = os.path.join(run_dir, SWEEP_SPEC_NAME)
     with open(path) as fh:
-        return SweepSpec.from_dict(json.load(fh))
+        try:
+            return SweepSpec.from_dict(json.load(fh))
+        except (ValueError, TypeError) as exc:
+            raise ValueError(
+                f"{path} is not a readable sweep spec: {exc}") from exc
 
 
 @dataclass
@@ -130,44 +161,51 @@ def combined_digest(digests: List[str]) -> str:
 
 
 def prepare_run_dir(run_dir: str, cells: Optional[List[WireCell]],
-                    resume: bool) -> "tuple[SweepSpec, JournalReplay]":
-    """Bind (or re-bind) the run dir to its spec and replay the journal."""
+                    resume: bool) -> "tuple[SweepSpec, str, JournalReplay]":
+    """Bind (or re-bind) the run dir to its spec and replay the journal.
+
+    Returns the spec, its digest and the journal replay.  The spec's
+    wire dict is built once and serves both the digest and, on a fresh
+    run, ``sweep.json`` (not rewritten when it already holds this spec).
+    """
     spec_path = os.path.join(run_dir, SWEEP_SPEC_NAME)
+    jpath = os.path.join(run_dir, "journal.ndjson")
     if resume:
         if not os.path.exists(spec_path):
             raise ValueError(
                 f"cannot resume {run_dir!r}: no {SWEEP_SPEC_NAME} "
                 "(was this directory ever a sweep run dir?)")
-        saved = load_spec(run_dir)
-        if cells is not None:
-            fresh = SweepSpec(cells=list(cells))
-            if fresh.digest() != saved.digest():
-                raise ValueError(
-                    f"cannot resume {run_dir!r}: the requested grid does "
-                    "not match the recorded sweep.json (resume re-runs "
-                    "the *same* sweep; use a new run dir for a new grid)")
-        spec = saved
+        spec = load_spec(run_dir)
+        digest = spec.digest()
+        if cells is not None and SweepSpec(cells=list(cells)).digest() \
+                != digest:
+            raise ValueError(
+                f"cannot resume {run_dir!r}: the requested grid does "
+                "not match the recorded sweep.json (resume re-runs "
+                "the *same* sweep; use a new run dir for a new grid)")
+        jreplay = replay(jpath)
     else:
         spec = SweepSpec(cells=list(cells or []))
-        if os.path.exists(spec_path):
-            saved = load_spec(run_dir)
-            if saved.digest() != spec.digest():
-                raise ValueError(
-                    f"{run_dir!r} already holds a different sweep; "
-                    "use --resume to continue it or a new run dir")
-        if len(replay(os.path.join(run_dir, "journal.ndjson"))):
+        wire = spec.to_dict()
+        digest = _wire_digest(wire)
+        saved = os.path.exists(spec_path)
+        if saved and load_spec(run_dir).digest() != digest:
+            raise ValueError(
+                f"{run_dir!r} already holds a different sweep; "
+                "use --resume to continue it or a new run dir")
+        jreplay = replay(jpath)
+        if len(jreplay):
             raise ValueError(
                 f"{run_dir!r} already has journaled progress; pass "
                 "--resume to continue it (a fresh run would recompute "
                 "journaled cells)")
-        spec.save(run_dir)
-    jreplay = replay(os.path.join(run_dir, "journal.ndjson"))
-    if (jreplay.spec_digest is not None
-            and jreplay.spec_digest != spec.digest()):
+        if not saved:
+            _write_spec(run_dir, wire)
+    if jreplay.spec_digest is not None and jreplay.spec_digest != digest:
         raise ValueError(
             f"journal in {run_dir!r} belongs to a different sweep "
             f"(spec digest mismatch); refusing to mix runs")
-    return spec, jreplay
+    return spec, digest, jreplay
 
 
 def run_sweep(
@@ -191,7 +229,7 @@ def run_sweep(
     chaos ``runner.tick`` fault) the journal is flushed and closed
     before the exception propagates, leaving the run dir resumable.
     """
-    spec, jreplay = prepare_run_dir(run_dir, cells, resume)
+    spec, spec_digest, jreplay = prepare_run_dir(run_dir, cells, resume)
     sweep_cells = spec.cells
     keys = [cell_key(c.experiment, c.params) for c in sweep_cells]
 
@@ -213,8 +251,8 @@ def run_sweep(
         for index in pending:
             cell = sweep_cells[index]
             payloads.append((resolve_experiment(cell.experiment),
-                             cell.params))
-        journal = SweepJournal(run_dir, spec_digest=spec.digest())
+                             cell.params, keys[index]))
+        journal = SweepJournal(run_dir, spec_digest=spec_digest)
 
         def on_result(pending_pos: int, result: Any) -> None:
             index = pending[pending_pos]
@@ -241,7 +279,7 @@ def run_sweep(
     return SweepResult(
         outcomes=done,
         digest=combined_digest([o.digest for o in done]),
-        spec_digest=spec.digest(),
+        spec_digest=spec_digest,
         journal_served=journal_served,
         ran=ran,
         torn=jreplay.torn,

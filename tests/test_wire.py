@@ -8,9 +8,12 @@ identity.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
-from repro.experiments.resolution import WakeupMethod
+import repro.obs as obs_mod
+from repro.experiments.resolution import WakeupMethod, run_resolution
 from repro.experiments.wire import (
     WireCell,
     WireError,
@@ -20,6 +23,7 @@ from repro.experiments.wire import (
     grid_cells,
     normalize_params,
 )
+from repro.sweeps import run_sweep
 
 CANONICAL = "repro.experiments.resolution:run_resolution"
 
@@ -117,3 +121,59 @@ def test_wirecell_is_hashable_identity():
     a = WireCell(CANONICAL, {"tau": 740.0})
     b = WireCell(CANONICAL, {"tau": 740.0})
     assert a == b
+
+
+# ----------------------------------------------------------------------
+# The signature memo: every check still runs on every call
+# ----------------------------------------------------------------------
+def _canonical_mode(value):
+    if value not in ("fast", "slow"):
+        raise ValueError(f"unknown mode {value!r}")
+    return value
+
+
+def _memo_probe(x: float, *, rate: float = 1.0, mode: str = "fast"):
+    return x, rate, mode
+
+
+_memo_probe.__wire_canonical__ = {"mode": _canonical_mode}
+
+
+class TestSignatureMemo:
+    @pytest.mark.parametrize("params, match", [
+        ({"x": 1.0, "typo": 2}, "unknown parameter"),
+        ({"rate": 2.0}, "missing required"),
+        ({"x": 1.0, "mode": "sideways"}, "invalid value"),
+    ])
+    def test_a_second_call_still_rejects(self, params, match):
+        assert normalize_params(_memo_probe, {"x": 1}) == {
+            "x": 1.0, "rate": 1.0, "mode": "fast"}
+        for _ in range(2):
+            with pytest.raises(WireError, match=match):
+                normalize_params(_memo_probe, params)
+
+    def test_a_second_call_still_coerces_ints_and_never_bools(self):
+        for _ in range(2):
+            normalized = normalize_params(_memo_probe,
+                                          {"x": 3, "rate": True})
+            assert normalized["x"] == 3.0 and type(normalized["x"]) is float
+            assert normalized["rate"] is True
+
+
+def test_a_sweep_cell_without_a_key_counts_as_skipped(tmp_path,
+                                                      monkeypatch):
+    # A Fraction has no manifest encoding, so the cell has no content
+    # key: the sweep hands the executor None, which must neither fetch
+    # nor store, and count the cell as skipped.
+    monkeypatch.setenv("REPRO_CELL_CACHE_DIR", str(tmp_path / "cache"))
+    monkeypatch.setenv("REPRO_METRICS", "1")
+    monkeypatch.delenv("REPRO_MANIFEST_DIR", raising=False)
+    obs_mod.reset()
+    cell = WireCell(CANONICAL, normalize_params(run_resolution, {
+        "tau": Fraction(700), "preemptions": 5, "seed": 1}))
+    result = run_sweep(str(tmp_path / "run"), [cell], jobs=1)
+    assert result.ran == 1 and result.outcomes[0].key is None
+    metrics = obs_mod.get_obs().metrics
+    assert metrics.counter("cellcache.skipped").value == 1
+    assert metrics.counter("cellcache.stores").value == 0
+    assert metrics.counter("cellcache.misses").value == 0
